@@ -12,58 +12,10 @@ Run with::
 """
 
 import json
-import subprocess
-from pathlib import Path
 
 import pytest
 
-#: machine-readable benchmark output lands here (CI uploads BENCH_*.json)
-RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
-
-#: bump when the BENCH_*.json envelope shape changes (2: adds wall_clock_s
-#: + events_per_sec loop-speed stamps, see repro.experiments.bench)
-SCHEMA_VERSION = 2
-
-
-def _git_sha() -> str:
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True,
-            text=True,
-            cwd=Path(__file__).resolve().parent,
-            timeout=10,
-        )
-        return out.stdout.strip() or "unknown"
-    except Exception:
-        return "unknown"
-
-
-def _default_seed() -> int:
-    try:
-        from repro.params import default_params
-
-        return default_params().seed
-    except Exception:
-        return -1
-
-
-def _loop_wall_s() -> float:
-    try:
-        from repro.sim.core import LOOP_STATS
-
-        return round(LOOP_STATS.wall_s, 4)
-    except Exception:
-        return 0.0
-
-
-def _loop_events_per_sec() -> float:
-    try:
-        from repro.sim.core import LOOP_STATS
-
-        return round(LOOP_STATS.events_per_sec(), 1)
-    except Exception:
-        return 0.0
+from repro.experiments.bench import RESULTS_DIR, write_envelope
 
 
 def run_once(benchmark, fn, *args, **kwargs):
@@ -84,11 +36,9 @@ class BenchRecorder:
     ``results/BENCH_<group>.json`` (merged over existing content, so several
     benchmark files/selections can contribute to one group).
 
-    Files are enveloped as ``{"schema": 2, "seed": ..., "git_sha": ...,
-    "wall_clock_s": ..., "events_per_sec": ..., "metrics": {...}}`` so a
-    results directory is self-describing about which commit and simulation
-    seed produced it and how fast the simulator ran; pre-envelope flat
-    files are migrated on the next merge.
+    Written through :func:`repro.experiments.bench.write_envelope` like
+    every other ``BENCH_*.json``, so a results directory is self-describing
+    about which commit and simulation seed produced it.
     """
 
     def __init__(self) -> None:
@@ -98,34 +48,16 @@ class BenchRecorder:
         self._groups.setdefault(group, {})[metric] = value
 
     def flush(self) -> None:
-        if not self._groups:
-            return
-        RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-        sha = _git_sha()
-        seed = _default_seed()
         for group, metrics in self._groups.items():
             path = RESULTS_DIR / f"BENCH_{group}.json"
-            existing = {}
+            merged = {}
             if path.exists():
                 try:
-                    existing = json.loads(path.read_text())
-                except ValueError:
-                    existing = {}
-            if isinstance(existing.get("metrics"), dict):
-                merged = existing["metrics"]
-            else:  # legacy flat file: everything in it was a metric
-                merged = {k: v for k, v in existing.items()
-                          if k not in ("schema", "seed", "git_sha")}
+                    merged = dict(json.loads(path.read_text())["metrics"])
+                except (ValueError, KeyError, TypeError):
+                    merged = {}
             merged.update(metrics)
-            envelope = {
-                "schema": SCHEMA_VERSION,
-                "seed": seed,
-                "git_sha": sha,
-                "wall_clock_s": _loop_wall_s(),
-                "events_per_sec": _loop_events_per_sec(),
-                "metrics": merged,
-            }
-            path.write_text(json.dumps(envelope, indent=2, sort_keys=True) + "\n")
+            write_envelope(group, merged)
 
 
 @pytest.fixture(scope="session")

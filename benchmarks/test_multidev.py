@@ -7,33 +7,21 @@ the IOPS-bound workload and to the PCIe link for the bandwidth-bound
 one.  Results land in ``results/BENCH_multidev.json``.
 """
 
-from repro.experiments import multidev
+from repro.experiments import sweep
+from repro.experiments.multidev import SWEEP
 
 
 def test_multidev_sweep(once, bench_json):
-    points = once(multidev.run, device_counts=(1, 2, 4))
+    # the full sweep's points (20 ops/thread) up to four devices
+    todo = [kw for kw in SWEEP.points if kw["n_devices"] <= 4]
+    points = once(lambda: [SWEEP.point(**kw) for kw in todo])
     print()
-    print(multidev.table(points).render())
+    print(sweep.table(SWEEP, points).render())
     by_key = {(p["workload"], p["n_devices"]): p for p in points}
     rr = {n: by_key[("4k_randread", n)] for n in (1, 2, 4)}
     sw = {n: by_key[("128k_seqwrite", n)] for n in (1, 2, 4)}
-
-    for p in points:
-        key = f"{p['workload']}/d{p['n_devices']}"
-        bench_json("multidev", f"{key}/iops", round(p["iops"], 1))
-        bench_json("multidev", f"{key}/bandwidth_GBs", round(p["bandwidth_GBs"], 3))
-        bench_json("multidev", f"{key}/lat_us", round(p["lat_us"], 2))
-        bench_json("multidev", f"{key}/bottleneck", p["bottleneck"])
-    bench_json(
-        "multidev",
-        "4k_randread/d4/speedup_vs_1dev",
-        round(rr[4]["iops"] / rr[1]["iops"], 3),
-    )
-    bench_json(
-        "multidev",
-        "128k_seqwrite/d4/speedup_vs_1dev",
-        round(sw[4]["iops"] / sw[1]["iops"], 3),
-    )
+    for metric, value in sweep.metrics(SWEEP, points).items():
+        bench_json("multidev", metric, value)
 
     # One device is SSD-bound in both workloads.
     assert rr[1]["bottleneck"] == "ssd"
@@ -58,6 +46,6 @@ def test_multidev_sweep(once, bench_json):
 
     # Striping spreads the load: every device in the 4-wide array serves
     # reads, and no device does more than 2x its fair share.
-    reads = [pd["reads"] for pd in rr[4]["per_device"]]
+    reads = list(rr[4]["reads"].values())
     assert len(reads) == 4 and all(r > 0 for r in reads)
     assert max(reads) < 2.0 * (sum(reads) / len(reads))

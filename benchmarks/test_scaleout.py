@@ -6,23 +6,17 @@ and the sweep records a saturation point.  Results land in
 ``results/BENCH_scaleout.json``.
 """
 
-from repro.experiments import scaleout
+from repro.experiments import sweep
+from repro.experiments.scaleout import SWEEP
 
 
 def test_scaleout_sweep(once, bench_json):
-    points = once(scaleout.run, hosts=(1, 2, 4), nthreads=6, ops_per_thread=15)
+    points = once(sweep.run, SWEEP, reduced=True)
     print()
-    print(scaleout.table(points).render())
+    print(sweep.table(SWEEP, points).render())
     by_n = {p["n_hosts"]: p for p in points}
-
-    for p in points:
-        n = p["n_hosts"]
-        bench_json("scaleout", f"n{n}/aggregate_iops", round(p["aggregate_iops"], 1))
-        bench_json("scaleout", f"n{n}/lat_p50_us", round(p["lat_p50_us"], 2))
-        bench_json("scaleout", f"n{n}/lat_p99_us", round(p["lat_p99_us"], 2))
-        bench_json("scaleout", f"n{n}/kv_queue_wait_us", round(p["kv_queue_wait_us"], 1))
-        bench_json("scaleout", f"n{n}/errors", p["errors"])
-    bench_json("scaleout", "saturation_n_hosts", scaleout.saturation_point(points))
+    for metric, value in sweep.metrics(SWEEP, points).items():
+        bench_json("scaleout", metric, value)
 
     # No ops may fail on any cluster size.
     assert all(p["errors"] == 0 for p in points)

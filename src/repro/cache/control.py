@@ -769,14 +769,6 @@ class CacheControlPlane:
                     got.update(dict(pages))
         return {lpn: data for lpn, data in got.items() if lpn in set(want)}
 
-    def _prefetch_one(self, inode: int, lpn: int) -> Generator[Event, None, None]:
-        """Single-page prefetch (legacy shape kept for direct callers)."""
-        key = (inode, lpn)
-        if key in self._prefetch_inflight:
-            return
-        self._prefetch_inflight.add(key)
-        yield from self._prefetch_chunk(inode, lpn, 1, {key})
-
     def _claim_pending(self, inode: int, lpn: int) -> Generator[Event, None, Optional[int]]:
         """Grab a free entry in the key's bucket, mark it I/O-pending.
 

@@ -142,13 +142,6 @@ class StripeIO:
     def _is_err(resp) -> bool:
         return isinstance(resp, tuple) and len(resp) == 2 and resp[0] == "err"
 
-    def _read_unit(self, server: int, key: str) -> Generator[Event, None, bytes]:
-        data = yield from self._ds_call(server, ("read_unit", key), MSG_OVERHEAD)
-        if self._is_err(data):
-            raise StorageUnavailable(f"ds{server}: {data[1]}")
-        self.units_read += 1
-        return data if data is not None else bytes(self.layout.stripe_unit)
-
     def _read_unit_safe(
         self, server: int, key: str, hedge_gen=None
     ) -> Generator[Event, None, tuple[bool, object]]:

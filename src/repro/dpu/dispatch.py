@@ -14,6 +14,9 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from ..dfs.clients import DfsError, OffloadedDfsClient
+from ..dfs.stripeio import StorageUnavailable
+from ..fault.retry import RetryBudgetExceeded
+from ..kv.client import KvTransactionError
 from ..kvfs.fs import Kvfs, KvfsError
 from ..obsv.quantiles import NULL_HUB
 from ..obsv.tracer import NULL_TRACER
@@ -78,34 +81,42 @@ class IoDispatch:
     def backend(
         self, sqe: Optional[Sqe], request: FileRequest, payload: bytes
     ) -> Generator[Event, None, tuple[FileResponse, bytes]]:
-        """The NVME-TGT / DPFS-HAL backend callable."""
+        """The NVME-TGT / DPFS-HAL backend callable.
+
+        Each stack maps its own errors to an errno.  What escapes them is a
+        backend that stayed unreachable past the whole retry envelope: that
+        completes the command with ``EIO`` instead of aborting the simulation.
+        """
         req_type = sqe.req_type if sqe is not None else ReqType.STANDALONE
         t0 = self.env.now
-        if req_type == ReqType.STANDALONE:
-            if request.flags & FLAG_LOCAL:
-                self.local_ops += 1
-                if self.local_fs is None:
+        try:
+            if req_type == ReqType.STANDALONE:
+                if request.flags & FLAG_LOCAL:
+                    self.local_ops += 1
+                    if self.local_fs is None:
+                        return FileResponse(status=Errno.EINVAL), b""
+                    with self.tracer.span(
+                        "dispatch.local", track="dpu", op=request.op.name
+                    ):
+                        res = yield from self._local_op(request, payload)
+                    self.sketches.observe("dispatch.local", self.env.now - t0)
+                    return res
+                self.standalone_ops += 1
+                if self.kvfs is None:
                     return FileResponse(status=Errno.EINVAL), b""
-                with self.tracer.span(
-                    "dispatch.local", track="dpu", op=request.op.name
-                ):
-                    res = yield from self._local_op(request, payload)
-                self.sketches.observe("dispatch.local", self.env.now - t0)
+                with self.tracer.span("dispatch.kvfs", track="dpu", op=request.op.name):
+                    res = yield from self._kvfs_op(request, payload)
+                self.sketches.observe("dispatch.kvfs", self.env.now - t0)
                 return res
-            self.standalone_ops += 1
-            if self.kvfs is None:
+            self.distributed_ops += 1
+            if self.dfs_client is None:
                 return FileResponse(status=Errno.EINVAL), b""
-            with self.tracer.span("dispatch.kvfs", track="dpu", op=request.op.name):
-                res = yield from self._kvfs_op(request, payload)
-            self.sketches.observe("dispatch.kvfs", self.env.now - t0)
+            with self.tracer.span("dispatch.dfs", track="dpu", op=request.op.name):
+                res = yield from self._dfs_op(request, payload)
+            self.sketches.observe("dispatch.dfs", self.env.now - t0)
             return res
-        self.distributed_ops += 1
-        if self.dfs_client is None:
-            return FileResponse(status=Errno.EINVAL), b""
-        with self.tracer.span("dispatch.dfs", track="dpu", op=request.op.name):
-            res = yield from self._dfs_op(request, payload)
-        self.sketches.observe("dispatch.dfs", self.env.now - t0)
-        return res
+        except (RetryBudgetExceeded, StorageUnavailable, KvTransactionError):
+            return FileResponse(status=Errno.EIO), b""
 
     # ------------------------------------------------------------------ KVFS stack
     def _kvfs_op(

@@ -12,7 +12,6 @@ independent, which is the MDS property decoding relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -24,12 +23,6 @@ __all__ = ["ReedSolomon", "ECError"]
 
 class ECError(ValueError):
     """Raised on unrecoverable shard loss or geometry misuse."""
-
-
-@dataclass(frozen=True)
-class _Geometry:
-    k: int
-    m: int
 
 
 class ReedSolomon:

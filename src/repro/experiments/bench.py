@@ -9,8 +9,8 @@ Schema 2 adds the two wall-clock fields: how long the producing process
 spent inside ``Environment.run`` and how many simulation events per
 wall-second it sustained (from :data:`repro.sim.core.LOOP_STATS`).  They
 describe the *simulator*, not the simulated system — a regression there
-is a DES performance regression, which is exactly what
-``repro.experiments.simspeed`` tracks in depth.
+is a DES performance regression, which ``bench/run.py`` measures properly
+(``host_ops_per_s``, ``sim.core.host_ns_per_event``).
 """
 
 from __future__ import annotations

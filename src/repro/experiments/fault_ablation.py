@@ -32,6 +32,7 @@ from ..metrics.stats import LatencyRecorder, ResultTable
 from ..obsv.quantiles import NULL_HUB
 from ..obsv.tracer import NULL_TRACER
 from ..params import SystemParams, default_params
+from ..workload.runner import IO_ERRORS
 
 __all__ = ["run", "VARIANTS", "_run_variant"]
 
@@ -117,7 +118,7 @@ def _run_variant(
                     data = yield from client.read(ino, off, BLOCK)
                     if data != expect:
                         errors[0] += 1
-                except Exception:
+                except IO_ERRORS:
                     errors[0] += 1
             lat.add(env.now - t0)
             sketches.observe("client.read", env.now - t0)

@@ -20,34 +20,23 @@ The headline metrics are the p99 ratios of the two ``full`` points against
 ``healthy``, the hedge win rate, and the extra-attempt fraction (hedges
 issued per primary attempt — the bandwidth price of the tail cut).
 
-Writes ``results/BENCH_hedge.json`` with the shared schema-2 envelope.
+Declared as a :class:`~repro.experiments.sweep.Sweep`::
 
-CLI::
-
-    python -m repro.experiments.hedge [--threads 8] [--ops 25] [--no-json]
+    python -m repro.experiments hedge
 """
 
 from __future__ import annotations
 
-import argparse
 from typing import Optional
 
-from ..metrics.stats import ResultTable
 from ..params import SystemParams, default_params
-from .bench import write_envelope
 from .fault_ablation import _run_variant
+from .sweep import Column, Sweep
 
-__all__ = ["run", "run_point", "POINTS", "table", "write_bench", "main"]
-
-#: (fault variant, hedging on) sweep points
-POINTS = (("healthy", False), ("full", False), ("full", True))
+__all__ = ["run_point", "SWEEP"]
 
 #: request-engine counters summed across endpoints per point
 _REQ_STATS = ("attempts", "hedges", "hedge_wins", "cancels", "budget_exhausted")
-
-
-def _label(variant: str, hedged: bool) -> str:
-    return f"{variant}-{'hedged' if hedged else 'off'}"
 
 
 def run_point(
@@ -81,7 +70,7 @@ def run_point(
                 req[stat] += v
     primaries = max(1.0, req["attempts"] - req["hedges"])
     return {
-        "label": _label(variant, hedged),
+        "label": f"{variant}-{'hedged' if hedged else 'off'}",
         "variant": variant,
         "hedged": hedged,
         "availability": row[1],
@@ -97,104 +86,43 @@ def run_point(
     }
 
 
-def run(
-    params: Optional[SystemParams] = None,
-    nthreads: int = 8,
-    ops_per_thread: int = 25,
-    points=POINTS,
-) -> list[dict]:
-    return [
-        run_point(v, h, params=params, nthreads=nthreads, ops_per_thread=ops_per_thread)
-        for v, h in points
-    ]
-
-
-def table(points: list[dict]) -> ResultTable:
-    t = ResultTable(
-        "Hedged requests under the fault ablation (8K random DFS reads,"
-        " silent crash + lossy fabric)",
-        [
-            "point",
-            "availability",
-            "p50_us",
-            "p99_us",
-            "goodput_iops",
-            "retries",
-            "hedges",
-            "hedge_wins",
-            "cancels",
-            "extra_att",
-        ],
-    )
-    for p in points:
-        t.add_row(
-            p["label"],
-            p["availability"],
-            p["p50_us"],
-            p["p99_us"],
-            p["goodput_iops"],
-            p["retries"],
-            int(p["hedges"]),
-            int(p["hedge_wins"]),
-            int(p["cancels"]),
-            round(p["extra_attempt_frac"], 3),
-        )
+def _p99_vs_healthy(points: list[dict]) -> dict:
     healthy = next((p for p in points if p["label"] == "healthy-off"), None)
-    if healthy and healthy["p99_us"] > 0:
-        ratios = ", ".join(
-            f"{p['label']} p99 = {p['p99_us'] / healthy['p99_us']:.1f}x healthy"
-            for p in points
-            if p["variant"] != "healthy"
-        )
-        t.note(ratios)
-    t.note(
+    if not healthy or healthy["p99_us"] <= 0:
+        return {}
+    return {
+        f"{p['label']}/p99_vs_healthy": round(p["p99_us"] / healthy["p99_us"], 2)
+        for p in points
+        if p["variant"] != "healthy"
+    }
+
+
+SWEEP = Sweep(
+    name="hedge",
+    title="Hedged requests under the fault ablation (8K random DFS reads,"
+    " silent crash + lossy fabric)",
+    point=run_point,
+    points=(
+        {"variant": "healthy", "hedged": False},
+        {"variant": "full", "hedged": False},
+        {"variant": "full", "hedged": True},
+    ),
+    columns=(
+        Column("label", "point", written=False),
+        Column("availability", "availability", 4),
+        Column("p50_us", "p50_us", 2),
+        Column("p99_us", "p99_us", 2),
+        Column("goodput_iops", "goodput_iops", 1),
+        Column("retries", "retries"),
+        Column("hedges", "hedges"),
+        Column("hedge_wins", "hedge_wins"),
+        Column("cancels", "cancels"),
+        Column("win_rate", ndigits=4),
+        Column("extra_attempt_frac", "extra_att", 4),
+    ),
+    derived=_p99_vs_healthy,
+    notes=(
         "a hedge fires when an attempt outlives the endpoint's live p99;"
-        " the loser is cancelled on the wire (tied requests)"
-    )
-    return t
-
-
-def write_bench(points: list[dict], path=None):
-    metrics: dict = {}
-    for p in points:
-        lbl = p["label"]
-        metrics[f"{lbl}/availability"] = round(p["availability"], 4)
-        metrics[f"{lbl}/p50_us"] = round(p["p50_us"], 2)
-        metrics[f"{lbl}/p99_us"] = round(p["p99_us"], 2)
-        metrics[f"{lbl}/goodput_iops"] = round(p["goodput_iops"], 1)
-        metrics[f"{lbl}/retries"] = p["retries"]
-        metrics[f"{lbl}/hedges"] = p["hedges"]
-        metrics[f"{lbl}/hedge_wins"] = p["hedge_wins"]
-        metrics[f"{lbl}/cancels"] = p["cancels"]
-        metrics[f"{lbl}/win_rate"] = round(p["win_rate"], 4)
-        metrics[f"{lbl}/extra_attempt_frac"] = round(p["extra_attempt_frac"], 4)
-    healthy = next((p for p in points if p["label"] == "healthy-off"), None)
-    if healthy and healthy["p99_us"] > 0:
-        for p in points:
-            if p["variant"] != "healthy":
-                metrics[f"{p['label']}/p99_vs_healthy"] = round(
-                    p["p99_us"] / healthy["p99_us"], 2
-                )
-    return write_envelope("hedge", metrics, path=path)
-
-
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(
-        prog="python -m repro.experiments.hedge",
-        description="Hedged/tied-request ablation over the fault schedules.",
-    )
-    ap.add_argument("--threads", type=int, default=8)
-    ap.add_argument("--ops", type=int, default=25)
-    ap.add_argument("--no-json", action="store_true",
-                    help="skip writing results/BENCH_hedge.json")
-    args = ap.parse_args(argv)
-    points = run(nthreads=args.threads, ops_per_thread=args.ops)
-    print(table(points).render())
-    if not args.no_json:
-        out = write_bench(points)
-        print(f"wrote {out}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI
-    raise SystemExit(main())
+        " the loser is cancelled on the wire (tied requests)",
+    ),
+)

@@ -16,41 +16,32 @@ queue-wait-driven rebalancer; the elastic store should split the hot
 shards live and drop both the total KV queue wait and its across-shard
 spread.
 
-Writes ``results/BENCH_kvflash.json`` with the same envelope as the other
-benchmark sweeps.
+Declared as two :class:`~repro.experiments.sweep.Sweep` s sharing one
+name, hence one ``results/BENCH_kvflash.json``::
 
-CLI::
-
-    python -m repro.experiments.kvflash [--hosts 1,2,4,8] [--ops 120]
+    python -m repro.experiments kvflash [--reduced]
 """
 
 from __future__ import annotations
 
-import argparse
-from pathlib import Path
 from typing import Optional
 
 from ..core.topology import build_cluster
 from ..kv.client import KvClient
 from ..kv.server import KvCluster
-from ..metrics.stats import ResultTable
 from ..params import SystemParams, default_params
 from ..sim.core import Environment
 from ..sim.network import Fabric
 from ..workload.runner import ClusterJobSpec, run_cluster_job
-from .bench import write_envelope
+from .sweep import Column, Sweep
 
 __all__ = [
     "run_inline_point",
     "run_elastic_point",
-    "run",
-    "write_bench",
-    "main",
-    "DEFAULT_HOSTS",
     "ELASTIC_OVERRIDES",
+    "INLINE",
+    "ELASTIC",
 ]
-
-DEFAULT_HOSTS = (1, 2, 4, 8)
 
 #: rebalancer tuning for the sweep: the jobs last tens of milliseconds, so
 #: the monitor must observe (and act) on a sub-millisecond cadence to split
@@ -113,8 +104,10 @@ def run_inline_point(
     cmt_total = sum(s.cmt_hits + s.cmt_misses for s in stats)
     lat_small.sort()
     lat_big.sort()
+    mode = "on" if inline else "off"
     return {
-        "inline": inline,
+        "label": f"inline/{mode}",
+        "mode": mode,
         "small_get_p50_us": lat_small[len(lat_small) // 2] * 1e6,
         "small_get_mean_us": sum(lat_small) / len(lat_small) * 1e6,
         "big_get_p50_us": lat_big[len(lat_big) // 2] * 1e6,
@@ -155,9 +148,11 @@ def run_elastic_point(
     res = run_cluster_job(cluster, spec)
     waits = [s.queue_wait_total * 1e6 for s in cluster.kv_cluster.shards]
     reb = cluster.rebalancer
+    backend = "elastic" if elastic else "static"
     return {
+        "label": f"n{n_hosts}/{backend}",
         "n_hosts": n_hosts,
-        "elastic": elastic,
+        "backend": backend,
         "aggregate_iops": res.iops,
         "lat_p50_us": res.lat_p50_us,
         "lat_p99_us": res.lat_p99_us,
@@ -171,117 +166,54 @@ def run_elastic_point(
     }
 
 
-# -- sweep --------------------------------------------------------------------
+# -- declarations ------------------------------------------------------------
 
 
-def run(
-    hosts=DEFAULT_HOSTS, nthreads: int = 12, ops_per_thread: int = 120
-) -> dict:
-    inline_points = [run_inline_point(False), run_inline_point(True)]
-    elastic_points = []
-    for n in hosts:
-        for elastic in (False, True):
-            elastic_points.append(
-                run_elastic_point(
-                    n, elastic, nthreads=nthreads, ops_per_thread=ops_per_thread
-                )
-            )
-    return {"inline": inline_points, "elastic": elastic_points}
+def _inline_saving(points: list[dict]) -> dict:
+    p50 = {p["mode"]: p["small_get_p50_us"] for p in points}
+    # the skipped data-page read
+    return {"inline/saving_p50_us": round(p50["off"] - p50["on"], 3)}
 
 
-def inline_table(points: list[dict]) -> ResultTable:
-    t = ResultTable(
-        "Small-value inlining on the flash-costed store (256 B values)",
-        ["inline", "get_p50_us", "get_mean_us", "cmt_hit_rate", "inline_gets", "page_reads"],
-    )
-    for p in points:
-        t.add_row(
-            "on" if p["inline"] else "off",
-            round(p["small_get_p50_us"], 2),
-            round(p["small_get_mean_us"], 2),
-            round(p["cmt_hit_rate"], 3),
-            round(p["inline_get_fraction"], 3),
-            p["page_reads"],
-        )
-    off = next(p for p in points if not p["inline"])
-    on = next(p for p in points if p["inline"])
-    t.note(
-        f"inlining saves {off['small_get_p50_us'] - on['small_get_p50_us']:.2f} us "
-        "p50 per small get (the skipped data-page read)"
-    )
-    return t
+INLINE = Sweep(
+    name="kvflash",
+    title="Small-value inlining on the flash-costed store (256 B values)",
+    point=run_inline_point,
+    points=({"inline": False}, {"inline": True}),
+    columns=(
+        Column("mode", "inline", written=False),
+        Column("small_get_p50_us", "get_p50_us", 3),
+        Column("small_get_mean_us", "get_mean_us", 3),
+        Column("cmt_hit_rate", "cmt_hit_rate", 4),
+        Column("inline_get_fraction", "inline_gets", 4),
+        Column("page_reads", "page_reads"),
+    ),
+    derived=_inline_saving,
+)
 
-
-def elastic_table(points: list[dict]) -> ResultTable:
-    t = ResultTable(
-        "Static vs elastic KV under Zipf 1.1 skew (randrw 70/30)",
-        ["n_hosts", "backend", "agg_iops", "kv_qwait_us", "qwait_spread_us", "shards", "splits"],
-    )
-    for p in points:
-        t.add_row(
-            p["n_hosts"],
-            "elastic" if p["elastic"] else "static",
-            round(p["aggregate_iops"], 0),
-            round(p["kv_queue_wait_us"], 1),
-            round(p["kv_queue_wait_spread_us"], 1),
-            p["shards_final"],
-            p["splits"],
-        )
-    t.note("elastic = consistent-hash ring + queue-wait-driven live shard splits")
-    return t
-
-
-def write_bench(results: dict, path: Optional[Path] = None) -> Path:
-    metrics: dict = {}
-    for p in results["inline"]:
-        tag = "inline/on" if p["inline"] else "inline/off"
-        metrics[f"{tag}/small_get_p50_us"] = round(p["small_get_p50_us"], 3)
-        metrics[f"{tag}/small_get_mean_us"] = round(p["small_get_mean_us"], 3)
-        metrics[f"{tag}/cmt_hit_rate"] = round(p["cmt_hit_rate"], 4)
-        metrics[f"{tag}/inline_get_fraction"] = round(p["inline_get_fraction"], 4)
-        metrics[f"{tag}/page_reads"] = p["page_reads"]
-    off = next(p for p in results["inline"] if not p["inline"])
-    on = next(p for p in results["inline"] if p["inline"])
-    metrics["inline/saving_p50_us"] = round(
-        off["small_get_p50_us"] - on["small_get_p50_us"], 3
-    )
-    for p in results["elastic"]:
-        tag = f"n{p['n_hosts']}/" + ("elastic" if p["elastic"] else "static")
-        metrics[f"{tag}/aggregate_iops"] = round(p["aggregate_iops"], 1)
-        metrics[f"{tag}/lat_p99_us"] = round(p["lat_p99_us"], 2)
-        metrics[f"{tag}/kv_queue_wait_us"] = round(p["kv_queue_wait_us"], 1)
-        metrics[f"{tag}/kv_queue_wait_spread_us"] = round(
-            p["kv_queue_wait_spread_us"], 1
-        )
-        metrics[f"{tag}/shards_final"] = p["shards_final"]
-        metrics[f"{tag}/splits"] = p["splits"]
-        metrics[f"{tag}/stale_bounces"] = p["stale_bounces"]
-        metrics[f"{tag}/errors"] = p["errors"]
-    return write_envelope("kvflash", metrics, path=path)
-
-
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(
-        prog="python -m repro.experiments.kvflash",
-        description="Flash inlining + elastic resharding sweeps.",
-    )
-    ap.add_argument("--hosts", default=",".join(str(n) for n in DEFAULT_HOSTS),
-                    help="comma-separated cluster sizes (default 1,2,4,8)")
-    ap.add_argument("--threads", type=int, default=12, help="threads per node")
-    ap.add_argument("--ops", type=int, default=120, help="ops per thread")
-    ap.add_argument("--no-json", action="store_true",
-                    help="skip writing results/BENCH_kvflash.json")
-    args = ap.parse_args(argv)
-    hosts = [int(x) for x in args.hosts.split(",") if x]
-    results = run(hosts, nthreads=args.threads, ops_per_thread=args.ops)
-    print(inline_table(results["inline"]).render())
-    print()
-    print(elastic_table(results["elastic"]).render())
-    if not args.no_json:
-        out = write_bench(results)
-        print(f"wrote {out}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI
-    raise SystemExit(main())
+ELASTIC = Sweep(
+    name="kvflash",
+    title="Static vs elastic KV under Zipf 1.1 skew (randrw 70/30)",
+    point=run_elastic_point,
+    points=tuple(
+        {"n_hosts": n, "elastic": e} for n in (1, 2, 4, 8) for e in (False, True)
+    ),
+    reduced=tuple(
+        {"n_hosts": n, "elastic": e, "nthreads": 6, "ops_per_thread": 40}
+        for n in (1, 2)
+        for e in (False, True)
+    ),
+    columns=(
+        Column("n_hosts", "n_hosts", written=False),
+        Column("backend", "backend", written=False),
+        Column("aggregate_iops", "agg_iops", 1),
+        Column("lat_p99_us", ndigits=2),
+        Column("kv_queue_wait_us", "kv_qwait_us", 1),
+        Column("kv_queue_wait_spread_us", "qwait_spread_us", 1),
+        Column("shards_final", "shards"),
+        Column("splits", "splits"),
+        Column("stale_bounces"),
+        Column("errors"),
+    ),
+    notes=("elastic = consistent-hash ring + queue-wait-driven live shard splits",),
+)

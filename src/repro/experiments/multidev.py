@@ -15,42 +15,27 @@ two workloads:
 Per sweep point the run records throughput, latency, **per-device**
 queue-depth peaks / busy time / bytes / utilisation, PCIe-link and CPU
 utilisation, and names the most-utilised resource as ``bottleneck`` — the
-"where did the ceiling move" answer the sweep exists for.  Results land in
-``results/BENCH_multidev.json`` with the same envelope the benchmark suite
-uses.
+"where did the ceiling move" answer the sweep exists for.  Declared as a
+:class:`~repro.experiments.sweep.Sweep`::
 
-CLI::
-
-    python -m repro.experiments.multidev [--devices 1,2,4,8] [--ops 20]
+    python -m repro.experiments multidev [--reduced]
 """
 
 from __future__ import annotations
 
-import argparse
-from pathlib import Path
 from typing import Optional
 
 from ..core.testbeds import build_dpc_system
 from ..host.adapters import O_DIRECT
 from ..host.vfs import O_CREAT
-from ..metrics.stats import ResultTable
 from ..obsv.quantiles import NULL_HUB
 from ..obsv.tracer import NULL_TRACER
 from ..params import SystemParams, default_params
-from .bench import write_envelope
 from .common import measure_threads
+from .sweep import Column, Sweep
 
-__all__ = [
-    "run",
-    "run_point",
-    "table",
-    "write_bench",
-    "main",
-    "DEFAULT_DEVICES",
-    "WORKLOADS",
-]
+__all__ = ["run_point", "WORKLOADS", "SWEEP"]
 
-DEFAULT_DEVICES = (1, 2, 4, 8)
 WORKLOADS = ("4k_randread", "128k_seqwrite")
 
 RAND_BLOCK = 4096
@@ -108,8 +93,7 @@ def run_point(
     # (preallocation writes are excluded).
     devices = getattr(sys_.nvme, "devices", [sys_.nvme])
     dev0 = [
-        (d.reads, d.writes, d.bytes_read, d.bytes_written, d.busy_seconds)
-        for d in devices
+        (d.reads, d.bytes_read + d.bytes_written, d.busy_seconds) for d in devices
     ]
     link_stats = sys_.link.stats
     pcie_bytes0 = link_stats.bytes_read + link_stats.bytes_written
@@ -127,24 +111,16 @@ def run_point(
     op_bytes = RAND_BLOCK if randread else SEQ_CHUNK
     pcie_bytes = (link_stats.bytes_read + link_stats.bytes_written) - pcie_bytes0
 
-    per_device = []
-    for d, (r0, w0, br0, bw0, busy0) in zip(devices, dev0):
-        busy = d.busy_seconds - busy0
-        per_device.append(
-            {
-                "name": d.name,
-                "reads": d.reads - r0,
-                "writes": d.writes - w0,
-                "bytes_read": d.bytes_read - br0,
-                "bytes_written": d.bytes_written - bw0,
-                "busy_seconds": busy,
-                "qd_peak": d.qd_peak,
-                "utilisation": min(1.0, busy / (d.num_channels * elapsed)),
-            }
-        )
+    # per-device window deltas, keyed by device name
+    reads, nbytes, busy, util = {}, {}, {}, {}
+    for d, (r0, b0, busy0) in zip(devices, dev0):
+        reads[d.name] = d.reads - r0
+        nbytes[d.name] = d.bytes_read + d.bytes_written - b0
+        busy[d.name] = d.busy_seconds - busy0
+        util[d.name] = min(1.0, busy[d.name] / (d.num_channels * elapsed))
 
     # Resource utilisations over the measurement window -> bottleneck.
-    ssd_util = max(pd["utilisation"] for pd in per_device)
+    ssd_util = max(util.values())
     pcie_util = min(1.0, pcie_bytes / (p.pcie_bandwidth * elapsed))
     dpu_util = sys_.dpu_cpu.window_usage_percent() / 100.0
     host_util = sys_.host_cpu.window_usage_percent() / 100.0
@@ -157,13 +133,18 @@ def run_point(
     bottleneck = max(utils, key=utils.get)
 
     return {
+        "label": f"{workload}/d{n_devices}",
         "workload": workload,
         "n_devices": n_devices,
         "nthreads": nthreads,
         "iops": res.iops,
         "bandwidth_GBs": res.iops * op_bytes / 1e9,
         "lat_us": res.mean_lat * 1e6,
-        "per_device": per_device,
+        "reads": reads,
+        "bytes": nbytes,
+        "busy_seconds": busy,
+        "utilisation": util,
+        "qd_peak": {d.name: d.qd_peak for d in devices},
         "ssd_util": ssd_util,
         "pcie_util": pcie_util,
         "dpu_util": dpu_util,
@@ -172,118 +153,43 @@ def run_point(
     }
 
 
-def run(
-    device_counts=DEFAULT_DEVICES,
-    params: Optional[SystemParams] = None,
-    ops_per_thread: int = 20,
-    workloads=WORKLOADS,
-) -> list[dict]:
-    """Full sweep; one record per (workload, device count)."""
-    return [
-        run_point(w, nd, params=params, ops_per_thread=ops_per_thread)
-        for w in workloads
-        for nd in device_counts
-    ]
+def _speedups(points: list[dict]) -> dict:
+    """IOPS of every multi-device point over its workload's 1-device point."""
+    base = {pt["workload"]: pt["iops"] for pt in points if pt["n_devices"] == 1}
+    return {
+        f"{pt['label']}/speedup_vs_1dev": round(pt["iops"] / base[pt["workload"]], 3)
+        for pt in points
+        if pt["n_devices"] > 1 and base.get(pt["workload"], 0) > 0
+    }
 
 
-def table(points: list[dict]) -> ResultTable:
-    t = ResultTable(
-        "Multi-NVMe sweep: devices per node vs throughput (DPU-local plane)",
-        [
-            "workload",
-            "devices",
-            "iops",
-            "GB/s",
-            "lat_us",
-            "ssd_util",
-            "pcie_util",
-            "dpu_util",
-            "bottleneck",
-        ],
-    )
-    for pt in points:
-        t.add_row(
-            pt["workload"],
-            pt["n_devices"],
-            pt["iops"],
-            pt["bandwidth_GBs"],
-            pt["lat_us"],
-            pt["ssd_util"],
-            pt["pcie_util"],
-            pt["dpu_util"],
-            pt["bottleneck"],
-        )
-    t.note("bottleneck = most-utilised resource over the measurement window")
-    return t
-
-
-def write_bench(points: list[dict], path: Optional[Path] = None) -> Path:
-    """Write ``BENCH_multidev.json`` (same envelope as benchmarks/conftest)."""
-    metrics: dict = {}
-    base: dict[str, float] = {}
-    for pt in points:
-        key = f"{pt['workload']}/d{pt['n_devices']}"
-        metrics[f"{key}/iops"] = round(pt["iops"], 1)
-        metrics[f"{key}/bandwidth_GBs"] = round(pt["bandwidth_GBs"], 3)
-        metrics[f"{key}/lat_us"] = round(pt["lat_us"], 2)
-        metrics[f"{key}/ssd_util"] = round(pt["ssd_util"], 4)
-        metrics[f"{key}/pcie_util"] = round(pt["pcie_util"], 4)
-        metrics[f"{key}/dpu_util"] = round(pt["dpu_util"], 4)
-        metrics[f"{key}/bottleneck"] = pt["bottleneck"]
-        for pd in pt["per_device"]:
-            dk = f"{key}/{pd['name']}"
-            metrics[f"{dk}/qd_peak"] = pd["qd_peak"]
-            metrics[f"{dk}/busy_seconds"] = round(pd["busy_seconds"], 6)
-            metrics[f"{dk}/bytes"] = pd["bytes_read"] + pd["bytes_written"]
-            metrics[f"{dk}/utilisation"] = round(pd["utilisation"], 4)
-        if pt["n_devices"] == 1:
-            base[pt["workload"]] = pt["iops"]
-        elif pt["workload"] in base and base[pt["workload"]] > 0:
-            metrics[f"{key}/speedup_vs_1dev"] = round(
-                pt["iops"] / base[pt["workload"]], 3
-            )
-    return write_envelope("multidev", metrics, path=path)
-
-
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(
-        prog="python -m repro.experiments.multidev",
-        description="Devices-per-node sweep over the DPU-local striped plane.",
-    )
-    ap.add_argument(
-        "--devices",
-        default=",".join(str(n) for n in DEFAULT_DEVICES),
-        help="comma-separated device counts (default 1,2,4,8)",
-    )
-    ap.add_argument("--ops", type=int, default=20, help="ops per thread")
-    ap.add_argument(
-        "--workloads",
-        default=",".join(WORKLOADS),
-        help="comma-separated workload names",
-    )
-    ap.add_argument(
-        "--no-json",
-        action="store_true",
-        help="skip writing results/BENCH_multidev.json",
-    )
-    args = ap.parse_args(argv)
-    devices = [int(x) for x in args.devices.split(",") if x]
-    workloads = [w for w in args.workloads.split(",") if w]
-    points = run(devices, ops_per_thread=args.ops, workloads=workloads)
-    print(table(points).render())
-    for w in workloads:
-        wpts = [pt for pt in points if pt["workload"] == w]
-        shifts = [
-            f"d{a['n_devices']}:{a['bottleneck']}->d{b['n_devices']}:{b['bottleneck']}"
-            for a, b in zip(wpts, wpts[1:])
-            if a["bottleneck"] != b["bottleneck"]
-        ]
-        print(f"{w}: bottleneck shift {shifts or ['none (within sweep)']}")
-    if not args.no_json:
-        out = write_bench(points)
-        print(f"wrote {out}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI
-    raise SystemExit(main())
+SWEEP = Sweep(
+    name="multidev",
+    title="Multi-NVMe sweep: devices per node vs throughput (DPU-local plane)",
+    point=run_point,
+    points=tuple(
+        {"workload": w, "n_devices": n} for w in WORKLOADS for n in (1, 2, 4, 8)
+    ),
+    reduced=tuple(
+        {"workload": w, "n_devices": n, "ops_per_thread": 10}
+        for w in WORKLOADS
+        for n in (1, 2, 4)
+    ),
+    columns=(
+        Column("workload", "workload", written=False),
+        Column("n_devices", "devices", written=False),
+        Column("iops", "iops", 1),
+        Column("bandwidth_GBs", "GB/s", 3),
+        Column("lat_us", "lat_us", 2),
+        Column("ssd_util", "ssd_util", 4),
+        Column("pcie_util", "pcie_util", 4),
+        Column("dpu_util", "dpu_util", 4),
+        Column("bottleneck", "bottleneck"),
+        Column("qd_peak"),
+        Column("busy_seconds", ndigits=6),
+        Column("bytes"),
+        Column("utilisation", ndigits=4),
+    ),
+    derived=_speedups,
+    notes=("bottleneck = most-utilised resource over the measurement window",),
+)

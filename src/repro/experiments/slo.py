@@ -16,25 +16,21 @@ burn hot and attribute to the data-server layer: reconstruction reads the
 survivor units over ``ds.rpc``, and the silent-crash variant's RPC
 deadline waits accrue inside the same layer.
 
-Writes ``results/BENCH_slo.json`` with the shared schema-2 envelope.
+Declared as a :class:`~repro.experiments.sweep.Sweep`::
 
-CLI::
-
-    python -m repro.experiments.slo [--threads 8] [--ops 25] [--no-json]
+    python -m repro.experiments slo
 """
 
 from __future__ import annotations
 
-import argparse
 from typing import Optional
 
-from ..metrics.stats import ResultTable
 from ..obsv.slo import SloEngine, SloSpec, sketch_layer_sources
 from ..params import SystemParams, default_params
-from .bench import write_envelope
 from .fault_ablation import VARIANTS, _run_variant
+from .sweep import Column, Sweep
 
-__all__ = ["run", "run_variant", "LAYERS", "DEFAULT_SPEC", "write_bench", "main"]
+__all__ = ["run_variant", "LAYERS", "DEFAULT_SPEC", "SWEEP"]
 
 #: bottleneck-attribution layers over the host-DFS testbed's sketch names;
 #: each is (include_totals, exclude_totals) — include minus exclude
@@ -90,7 +86,7 @@ def run_variant(
     engine.finish(tb.env.now)
     s = engine.summary()[spec.name]
     return {
-        "variant": variant,
+        "label": variant,
         "availability": row[1],
         "p50_us": row[2],
         "p99_us": row[3],
@@ -105,84 +101,26 @@ def run_variant(
     }
 
 
-def run(
-    params: Optional[SystemParams] = None,
-    nthreads: int = 8,
-    ops_per_thread: int = 25,
-    variants=VARIANTS,
-) -> list[dict]:
-    return [
-        run_variant(v, params=params, nthreads=nthreads, ops_per_thread=ops_per_thread)
-        for v in variants
-    ]
-
-
-def table(points: list[dict]) -> ResultTable:
-    t = ResultTable(
-        "SLO burn rates under the fault ablation (read p95 < "
-        f"{DEFAULT_SPEC.threshold_us:.0f}us)",
-        [
-            "variant",
-            "availability",
-            "p99_us",
-            "sketch_p99_us",
-            "max_burn",
-            "budget_rem",
-            "breaches",
-            "bottleneck",
-        ],
-    )
-    for p in points:
-        t.add_row(
-            p["variant"],
-            p["availability"],
-            p["p99_us"],
-            p["sketch_p99_us"],
-            p["max_burn_rate"],
-            p["budget_remaining"],
-            p["breaches"],
-            p["bottleneck"],
-        )
-    t.note(
+SWEEP = Sweep(
+    name="slo",
+    title="SLO burn rates under the fault ablation (read p95 < "
+    f"{DEFAULT_SPEC.threshold_us:.0f}us)",
+    point=run_variant,
+    points=tuple({"variant": v} for v in VARIANTS),
+    columns=(
+        Column("label", "variant", written=False),
+        Column("availability", "availability", 4),
+        Column("p99_us", "p99_us", 2),
+        Column("sketch_p99_us", "sketch_p99_us"),
+        Column("burn_rate"),
+        Column("max_burn_rate", "max_burn"),
+        Column("budget_remaining", "budget_rem"),
+        Column("breaches", "breaches"),
+        Column("bottleneck", "bottleneck"),
+    ),
+    notes=(
         "burn rate = (bad fraction)/(error budget) per window; a breach"
         " needs every window hot, and names the layer whose sketch time"
-        " grew most that interval"
-    )
-    return t
-
-
-def write_bench(points: list[dict], path=None):
-    metrics: dict = {}
-    for p in points:
-        v = p["variant"]
-        metrics[f"{v}/availability"] = round(p["availability"], 4)
-        metrics[f"{v}/p99_us"] = round(p["p99_us"], 2)
-        metrics[f"{v}/sketch_p99_us"] = p["sketch_p99_us"]
-        metrics[f"{v}/burn_rate"] = p["burn_rate"]
-        metrics[f"{v}/max_burn_rate"] = p["max_burn_rate"]
-        metrics[f"{v}/budget_remaining"] = p["budget_remaining"]
-        metrics[f"{v}/breaches"] = p["breaches"]
-        metrics[f"{v}/bottleneck"] = p["bottleneck"]
-    return write_envelope("slo", metrics, path=path)
-
-
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(
-        prog="python -m repro.experiments.slo",
-        description="SLO burn-rate tracking over the fault-ablation schedules.",
-    )
-    ap.add_argument("--threads", type=int, default=8)
-    ap.add_argument("--ops", type=int, default=25)
-    ap.add_argument("--no-json", action="store_true",
-                    help="skip writing results/BENCH_slo.json")
-    args = ap.parse_args(argv)
-    points = run(nthreads=args.threads, ops_per_thread=args.ops)
-    print(table(points).render())
-    if not args.no_json:
-        out = write_bench(points)
-        print(f"wrote {out}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI
-    raise SystemExit(main())
+        " grew most that interval",
+    ),
+)

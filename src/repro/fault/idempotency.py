@@ -96,5 +96,9 @@ class IdempotencyFilter:
         if len(self._seen) > self.capacity:
             self._seen.popitem(last=False)
 
+    def release(self, token: Optional[Hashable]) -> None:
+        """Forget ``token``: its ``PENDING`` execution produced no result."""
+        self._seen.pop(token, None)
+
     def __len__(self) -> int:
         return len(self._seen)

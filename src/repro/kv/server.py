@@ -272,7 +272,12 @@ class KvShardServer:
                 else:
                     self._idem.put(token, PENDING)
                     resp, resp_size = yield from self._execute(op, version)
-                    self._idem.put(token, (resp, resp_size))
+                    if type(resp) is tuple and resp[:1] == (STALE_RING,):
+                        # A bounce is not a result: the re-routed retry carries
+                        # the same token and must execute, not replay it.
+                        self._idem.release(token)
+                    else:
+                        self._idem.put(token, (resp, resp_size))
         finally:
             self.threads.release(req)
         if self.failed:

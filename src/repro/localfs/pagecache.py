@@ -74,11 +74,6 @@ class PageCache:
                 self.flushed += 1
         self._pages[key] = [data, dirty]
 
-    def mark_dirty(self, ino: int, lpn: int) -> None:
-        ent = self._pages.get((ino, lpn))
-        if ent is not None:
-            ent[1] = True
-
     def invalidate_file(self, ino: int) -> None:
         for key in [k for k in self._pages if k[0] == ino]:
             del self._pages[key]

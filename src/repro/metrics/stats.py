@@ -58,9 +58,6 @@ class LatencyRecorder:
     def max(self) -> float:
         return float(self._arr()[-1]) if self._samples else 0.0
 
-    def mean_us(self) -> float:
-        return self.mean * 1e6
-
     def summary(self) -> dict:
         """The standard digest (seconds) every experiment reports from."""
         return {

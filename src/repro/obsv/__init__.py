@@ -82,9 +82,6 @@ class ObsvContext:
     def tracers(self):
         return [t for _, t, _ in self.systems if getattr(t, "enabled", False)]
 
-    def registries(self):
-        return [(n, r) for n, _, r in self.systems if r is not None]
-
 
 _context = ObsvContext(enabled=bool(int(os.environ.get("REPRO_TRACE", "0") or 0)))
 

@@ -26,6 +26,18 @@ import os
 import sys
 from typing import Optional
 
+from ..core.topology import ROLE_DPC, node_endpoint
+from ..experiments import (
+    fault_ablation,
+    fig2_dma,
+    fig8_cache,
+    fig9_dfs,
+    hedge,
+    kvflash,
+    multidev,
+    scaleout,
+    slo,
+)
 from . import enable_tracing, get_context
 from .export import validate_trace, write_trace_multi
 
@@ -195,50 +207,35 @@ def render_report(systems, title: str = "flight recorder") -> str:
 # CLI
 # ---------------------------------------------------------------------------
 
+def _fig2(case, **size):
+    fig2_dma.count_dmas("nvme-fs", "write", 8192)
+    fig2_dma.count_dmas("virtio-fs", "write", 8192)
+
+
+#: ``--experiment`` name -> ``run(case, nthreads=..., ops_per_thread=...)``
+EXPERIMENTS = {
+    "fig2": _fig2,
+    "fig8": lambda case, **size: fig8_cache.random_write_panel(**size),
+    "fig9": lambda case, **size: fig9_dfs.run_case(
+        node_endpoint(ROLE_DPC, 0), case or "rnd-wr", **size
+    ),
+    "fault_ablation": lambda case, **size: fault_ablation.run(
+        variants=("degraded",), **size
+    ),
+    "scaleout": lambda case, **size: scaleout.run_point(2, **size),
+    "kvflash": lambda case, **size: kvflash.run_elastic_point(2, elastic=True, **size),
+    "multidev": lambda case, **size: multidev.run_point("4k_randread", 2, **size),
+    "slo": lambda case, **size: slo.run_variant("degraded", **size),
+    "hedge": lambda case, **size: hedge.run_point("full", True, **size),
+}
+
+
 def run_experiment(experiment: str, case: Optional[str], threads: int, ops: int):
     """Run one small experiment with tracing enabled; return the context."""
-    ctx = enable_tracing()
-    if experiment == "fig9":
-        from ..core.topology import ROLE_DPC, node_endpoint
-        from ..experiments.fig9_dfs import run_case
-
-        run_case(node_endpoint(ROLE_DPC, 0), case or "rnd-wr",
-                 nthreads=threads, ops_per_thread=ops)
-    elif experiment == "fig2":
-        from ..experiments.fig2_dma import count_dmas
-
-        count_dmas("nvme-fs", "write", 8192)
-        count_dmas("virtio-fs", "write", 8192)
-    elif experiment == "fig8":
-        from ..experiments.fig8_cache import random_write_panel
-
-        random_write_panel(nthreads=threads, ops_per_thread=ops)
-    elif experiment == "fault_ablation":
-        from ..experiments.fault_ablation import run as run_fault
-
-        run_fault(nthreads=threads, ops_per_thread=ops, variants=("degraded",))
-    elif experiment == "scaleout":
-        from ..experiments.scaleout import run_point
-
-        run_point(2, nthreads=threads, ops_per_thread=ops)
-    elif experiment == "kvflash":
-        from ..experiments.kvflash import run_elastic_point
-
-        run_elastic_point(2, elastic=True, nthreads=threads, ops_per_thread=ops)
-    elif experiment == "multidev":
-        from ..experiments.multidev import run_point as run_multidev
-
-        run_multidev("4k_randread", 2, nthreads=threads, ops_per_thread=ops)
-    elif experiment == "slo":
-        from ..experiments.slo import run_variant as run_slo
-
-        run_slo("degraded", nthreads=threads, ops_per_thread=ops)
-    elif experiment == "hedge":
-        from ..experiments.hedge import run_point as run_hedge
-
-        run_hedge("full", True, nthreads=threads, ops_per_thread=ops)
-    else:
+    if experiment not in EXPERIMENTS:
         raise SystemExit(f"unknown experiment {experiment!r}")
+    ctx = enable_tracing()
+    EXPERIMENTS[experiment](case, nthreads=threads, ops_per_thread=ops)
     return ctx
 
 
@@ -247,9 +244,7 @@ def main(argv=None) -> int:
         prog="python -m repro.obsv.report",
         description="Run a small traced experiment and render the flight-recorder report.",
     )
-    ap.add_argument("--experiment", default="fig9",
-                    choices=["fig2", "fig8", "fig9", "fault_ablation",
-                             "scaleout", "kvflash", "multidev", "slo", "hedge"])
+    ap.add_argument("--experiment", default="fig9", choices=sorted(EXPERIMENTS))
     ap.add_argument("--case", default=None, help="fig9 workload case (e.g. rnd-wr)")
     ap.add_argument("--threads", type=int, default=2)
     ap.add_argument("--ops", type=int, default=4)

@@ -30,7 +30,6 @@ VRING_DESC_F_INDIRECT = 4
 
 _DESC = struct.Struct("<QIHH")
 DESC_SIZE = _DESC.size  # 16
-USED_ELEM = struct.Struct("<II")
 
 
 @dataclass(frozen=True)
@@ -125,9 +124,3 @@ class VRing:
         self.arena.write_u16(self.avail_ring_addr(self.host_avail_idx), head)
         self.host_avail_idx = (self.host_avail_idx + 1) & 0xFFFF
         self.arena.write_u16(self.avail_idx_addr, self.host_avail_idx)
-
-    def read_used(self, seen_index: int) -> tuple[int, int]:
-        """Host: read used ring element ``seen_index`` -> (head id, length)."""
-        raw = self.arena.read(self.used_ring_addr(seen_index), 8)
-        head, length = USED_ELEM.unpack(raw)
-        return head, length

@@ -218,10 +218,6 @@ class Process(Event):
         self.name = name or getattr(generator, "__name__", "process")
         _Initialize(env, self)
 
-    @property
-    def is_alive(self) -> bool:
-        return not self._triggered
-
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time."""
         if self._triggered:

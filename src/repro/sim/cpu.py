@@ -79,14 +79,6 @@ class CpuPool:
                 self.busy_by_tag[tag] = self.busy_by_tag.get(tag, 0.0) + work
 
     # -- metrics ----------------------------------------------------------------
-    @property
-    def in_use(self) -> int:
-        return self._res.count
-
-    @property
-    def runnable_queue(self) -> int:
-        return self._res.queue_len
-
     def begin_window(self) -> None:
         """Start a measurement window (call at the start of the steady state)."""
         self._window_start = self.env.now

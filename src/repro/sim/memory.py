@@ -15,6 +15,7 @@ invariants (no overlap, free+alloc partitions the arena) are property-tested.
 
 from __future__ import annotations
 
+import mmap
 import struct
 from typing import Iterator
 
@@ -32,7 +33,8 @@ class MemoryArena:
         if size <= 0:
             raise ValueError("arena size must be positive")
         self.size = size
-        self.buf = bytearray(size)
+        # anonymous mapping: zero pages are backed only once touched
+        self.buf = mmap.mmap(-1, size)
         # Free list: sorted list of (start, length), non-adjacent, non-overlapping.
         self._free: list[tuple[int, int]] = [(0, size)]
         self._allocs: dict[int, int] = {}  # start -> length

@@ -168,9 +168,6 @@ class TokenBucket:
         #: cumulative bytes pushed, for traffic accounting
         self.bytes_total = 0
 
-    def busy_until(self) -> float:
-        return self._free_at
-
     def transfer(self, nbytes: int) -> Event:
         """Schedule ``nbytes`` through the pipe; event fires at completion."""
         if nbytes < 0:

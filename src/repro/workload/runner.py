@@ -19,6 +19,9 @@ from typing import Callable, Generator, Optional
 
 from bisect import bisect_left
 
+from ..dfs.clients import DfsError
+from ..dfs.stripeio import StorageUnavailable
+from ..fault.retry import RetryBudgetExceeded
 from ..metrics.stats import LatencyRecorder
 from ..obsv.quantiles import NULL_HUB
 from ..obsv.tracer import NULL_TRACER
@@ -34,7 +37,11 @@ __all__ = [
     "ClusterJobSpec",
     "ClusterJobResult",
     "run_cluster_job",
+    "IO_ERRORS",
 ]
+
+#: what a driver counts as a failed op; anything else is a bug and propagates
+IO_ERRORS = (OSError, DfsError, StorageUnavailable, RetryBudgetExceeded)
 
 MODES = ("randread", "randwrite", "randrw", "seqread", "seqwrite")
 
@@ -75,10 +82,6 @@ class JobResult:
     dpu_cores: float = 0.0
     errors: int = 0
     extra: dict = field(default_factory=dict)
-
-    @property
-    def lat_mean_us(self) -> float:
-        return self.lat.mean * 1e6
 
     @property
     def lat_p99_us(self) -> float:
@@ -180,7 +183,7 @@ def run_job(
                         yield from target.read(off, spec.block_size)
                     else:
                         yield from target.write(off, block)
-                except Exception:
+                except IO_ERRORS:
                     errors[0] += 1
             lat.add(env.now - t0)
             sketches.observe("client.read" if is_read else "client.write", env.now - t0)
@@ -341,7 +344,7 @@ def run_cluster_job(cluster, spec: ClusterJobSpec, payload_byte: int = 0x5A) -> 
                         yield from node.vfs.read(handles[fidx], off, spec.block_size)
                     else:
                         yield from node.vfs.write(handles[fidx], off, block)
-                except Exception:
+                except IO_ERRORS:
                     errors[0] += 1
             lat.add(env.now - t0)
             hub.observe("client.read" if is_read else "client.write", env.now - t0)

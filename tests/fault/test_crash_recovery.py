@@ -2,12 +2,16 @@
 
 import pytest
 
-from repro.core.testbeds import build_host_dfs_clients
+from repro.core.testbeds import build_dpc_system, build_host_dfs_clients
 from repro.dfs.mds import DFS_ROOT_INO
 from repro.fault import FaultPlane, retry_policy_from
+from repro.host.adapters import O_DIRECT, FsError
+from repro.host.vfs import O_CREAT
 from repro.kv.client import KvClient
 from repro.kv.server import KvCluster
+from repro.kvfs import schema
 from repro.params import default_params
+from repro.proto.filemsg import Errno
 from repro.sim.core import Environment
 from repro.sim.network import Fabric
 
@@ -103,6 +107,33 @@ def test_inflight_put_survives_silent_shard_crash():
     kinds = plane.counts()
     assert kinds.get("crash") == 1 and kinds.get("restart") == 1
     assert kinds.get("retry", 0) == client.retries
+
+
+def test_kv_outage_past_the_retry_envelope_surfaces_as_eio():
+    """A shard down for longer than the whole 5-attempt envelope fails the
+    host's write with EIO instead of aborting the simulation, and the same
+    write succeeds once the shard is back."""
+    sys_ = build_dpc_system(default_params().with_overrides(rpc_timeout=400e-6))
+    env = sys_.env
+    off, new = 3 * 8192, b"\xcd" * 8192
+
+    def app():
+        f = yield from sys_.vfs.open("/kvfs/outage.bin", O_CREAT | O_DIRECT)
+        yield from sys_.vfs.write(f, 0, b"\xab" * (64 * 1024))  # a big file
+        owner = sys_.kvfs.kv.route(schema.block_key(f.ino, off // 8192))
+        victim = next(s for s in sys_.kv_cluster.shards if s.name == owner)
+        victim.crash()
+        down_at = env.now
+        with pytest.raises(FsError) as exc:
+            yield from sys_.vfs.write(f, off, new)
+        # the simulation is still running: sit out the 10 ms outage
+        yield env.timeout(down_at + 10e-3 - env.now)
+        yield from victim.restart()
+        n = yield from sys_.vfs.write(f, off, new)
+        data = yield from sys_.vfs.read(f, off, len(new))
+        return exc.value.errno_code, n, data
+
+    assert sys_.run_until(app()) == (Errno.EIO, len(new), new)
 
 
 def test_dataserver_restart_pays_restart_delay():

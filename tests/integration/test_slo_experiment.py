@@ -5,7 +5,10 @@ as end-to-end checks that the sketch hub, SLO engine, and bottleneck
 attribution cooperate on a real workload.
 """
 
-from repro.experiments.slo import DEFAULT_SPEC, LAYERS, run_variant, write_bench
+import json
+
+from repro.experiments import sweep
+from repro.experiments.slo import DEFAULT_SPEC, LAYERS, SWEEP, run_variant
 from repro.obsv import disable_tracing, get_context
 from repro.obsv.report import layer_breakdown, run_experiment
 
@@ -46,11 +49,9 @@ def test_layers_cover_the_spec_endpoint():
     assert "ds.rpc" in includes and "net.send" in includes
 
 
-def test_write_bench_emits_per_variant_metrics(tmp_path):
+def test_sweep_write_emits_per_variant_metrics(tmp_path):
     points = [run_variant("healthy")]
-    out = write_bench(points, path=tmp_path / "BENCH_slo.json")
-    import json
-
+    out = sweep.write([(SWEEP, points)], path=tmp_path / "BENCH_slo.json")
     data = json.loads(out.read_text())
     assert data["schema"] == 2
     m = data["metrics"]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.fault import retry_policy_from
 from repro.kv.client import KvClient, KvTransactionError
 from repro.kv.rebalance import Rebalancer
 from repro.kv.server import KvCluster
@@ -230,3 +231,33 @@ def test_frozen_writer_parks_then_bounces_to_new_owner():
     assert client.stale_reroutes >= 1
     assert dst.engine.get(key) == b"post-cutover"
     assert src.engine.get(key) is None  # never applied on the old owner
+
+
+def test_tokened_put_that_outsleeps_a_ring_bump_is_applied_once():
+    """A stale-ring bounce is not a result: memoised under the mutation's
+    idempotency token it would be replayed to the re-routed retry for ever,
+    even though this shard still owns the key."""
+    env, fabric, cluster, params = make_elastic(rpc_timeout=400e-6)
+    fabric.attach("writer")
+    client = KvClient(
+        fabric,
+        "writer",
+        cluster.shard_names(),
+        ring=cluster.ring.clone(),
+        retry=retry_policy_from(params),
+    )
+    key = keys_owned_by(cluster.ring, KEY_POOL, "kv0")[0]
+    owner = cluster.shards[0]
+
+    def bump():
+        # admitted under the old version, still in its service sleep
+        while owner.threads.count == 0:
+            yield env.timeout(1e-6)
+        cluster.ring.version += 1
+
+    env.process(bump(), name="bump")
+    env.run(until=env.process(client.put(key, b"once"), name="writer"))
+
+    assert 1 <= client.stale_reroutes <= 2
+    assert owner.engine.get(key) == b"once"
+    assert owner.engine.stats.puts == 1

@@ -52,8 +52,8 @@ def test_profiler_coverage_meets_attribution_floor():
     prof.stop()
     prof.uninstall()
     rep = prof.report()
-    # the acceptance bar is >= 90% on the full simspeed run; a synthetic
-    # micro-run keeps a margin for scheduler noise
+    # the design bar is >= 90% on a full-system run; a synthetic micro-run
+    # keeps a margin for scheduler noise
     assert rep["coverage"] >= 0.8, rep["coverage"]
 
 

@@ -150,3 +150,17 @@ def test_write_read_property(data, addr):
     arena = MemoryArena(1024)
     arena.write(addr, data)
     assert arena.read(addr, len(data)) == data
+
+
+def test_large_arena_is_lazily_backed():
+    """A 1 GiB arena costs nothing until touched: both ends read zeros and
+    a write in the last page round-trips."""
+    size = 1 << 30
+    arena = MemoryArena(size)
+    assert arena.read(0, 64) == bytes(64)
+    assert arena.read(size - 64, 64) == bytes(64)
+    arena.write(size - 100, b"tail-page")
+    arena.write_u64(size - 8, 0xDEADBEEFCAFEF00D)
+    assert arena.read(size - 100, 9) == b"tail-page"
+    assert arena.read_u64(size - 8) == 0xDEADBEEFCAFEF00D
+    assert arena.read(0, 64) == bytes(64)

@@ -188,7 +188,7 @@ def test_run_job_errors_counted():
     class Exploding:
         def write(self, offset, data):
             yield env.timeout(1e-6)
-            raise RuntimeError("boom")
+            raise OSError(5, "boom")
 
         def read(self, offset, length):
             yield env.timeout(1e-6)
@@ -197,6 +197,21 @@ def test_run_job_errors_counted():
     spec = JobSpec("t", "randwrite", nthreads=1, ops_per_thread=3)
     result = run_job(env, spec, lambda tid: Exploding())
     assert result.errors == 3
+
+
+def test_run_job_lets_a_bug_propagate():
+    """Only I/O errors are counted; anything else is a defect in the system
+    under test and must not be hidden in the ``errors`` tally."""
+    env = Environment()
+
+    class Buggy:
+        def write(self, offset, data):
+            yield env.timeout(1e-6)
+            raise KeyError("not an I/O error")
+
+    spec = JobSpec("t", "randwrite", nthreads=1, ops_per_thread=3)
+    with pytest.raises(KeyError):
+        run_job(env, spec, lambda tid: Buggy())
 
 
 def test_client_target_adapts_ino_interface():
