@@ -702,8 +702,8 @@ class CacheControlPlane:
         idxs = yield from self._parallel(
             [self._claim_pending(inode, lpn) for lpn in lpns]
         )
-        claimed = {  # lpn -> entry index
-            lpn: idx for lpn, idx in zip(lpns, idxs) if idx is not None
+        claimed = {  # lpn -> (entry index, generation the claim wrote)
+            lpn: claim for lpn, claim in zip(lpns, idxs) if claim is not None
         }
         if not claimed:
             return  # everything already cached/pending or buckets full
@@ -714,18 +714,18 @@ class CacheControlPlane:
             if not self._dif_ok(inode, lpn, got[lpn]):
                 del got[lpn]
         installs = []
-        for lpn, idx in claimed.items():
+        for lpn, (idx, gen) in claimed.items():
             data = got.get(lpn)
             if data is not None:
-                installs.append(self._install_one(inode, lpn, idx, data))
+                installs.append(self._install_one(inode, lpn, idx, gen, data))
             else:
-                installs.append(self._release_pending(idx))
+                installs.append(self._release_pending(idx, gen, inode, lpn))
         yield from self._parallel(installs)
 
     def _install_one(
-        self, inode: int, lpn: int, idx: int, data: bytes
+        self, inode: int, lpn: int, idx: int, gen: int, data: bytes
     ) -> Generator[Event, None, None]:
-        ok = yield from self._install_pending(idx, data)
+        ok = yield from self._install_pending(idx, gen, inode, lpn, data)
         if ok:
             self.prefetched_pages += 1
             self._shadow[idx] = (inode, lpn)
@@ -769,13 +769,17 @@ class CacheControlPlane:
                     got.update(dict(pages))
         return {lpn: data for lpn, data in got.items() if lpn in set(want)}
 
-    def _claim_pending(self, inode: int, lpn: int) -> Generator[Event, None, Optional[int]]:
+    def _claim_pending(
+        self, inode: int, lpn: int
+    ) -> Generator[Event, None, Optional[tuple[int, int]]]:
         """Grab a free entry in the key's bucket, mark it I/O-pending.
 
         A full bucket evicts a victim first (readahead pressure reclaims
         cold pages, exactly like page-cache readahead).  The claimed entry
         is left with an *odd* generation: it stays "mutating" for seqlock
         readers until the install publishes data with the next even value.
+        Returns ``(entry index, that generation)``: the generation is the
+        claim's identity, which the install or release must find unchanged.
         """
         lay = self.layout
         bucket = lay.bucket_of(inode, lpn)
@@ -804,9 +808,8 @@ class CacheControlPlane:
                     lay.lock_addr(idx), LOCK_WRITE, LOCK_FREE, tag="lock-cas"
                 )
                 continue
-            meta = _ENTRY.pack(
-                LOCK_WRITE, ST_INVALID, ent["next"], _gen_odd(ent["gen"]), lpn, inode
-            )
+            gen = _gen_odd(ent["gen"])
+            meta = _ENTRY.pack(LOCK_WRITE, ST_INVALID, ent["next"], gen, lpn, inode)
             yield from self.link.dma_write(lay.entry_addr(idx), meta, tag="claim-meta")
             yield from self.link.atomic_faa_u32(
                 lay.free_count_addr, 0xFFFFFFFF, tag="free-count"
@@ -814,11 +817,22 @@ class CacheControlPlane:
             yield from self.link.atomic_cas_u32(
                 lay.lock_addr(idx), LOCK_WRITE, LOCK_FREE, tag="lock-cas"
             )
-            return idx
+            return idx, gen
         return None
 
-    def _install_pending(self, idx: int, data: bytes) -> Generator[Event, None, bool]:
-        """Write the fetched page into a pending entry and mark it clean."""
+    @staticmethod
+    def _is_claim(ent: dict, gen: int, inode: int, lpn: int) -> bool:
+        """Is ``ent`` still the pending claim that wrote ``gen`` for this key?
+        Status alone cannot tell: during the fetch the page may have been
+        written, flushed and evicted and the entry claimed again."""
+        return (ent["status"], ent["gen"], ent["inode"], ent["lpn"]) == (
+            ST_INVALID, gen, inode, lpn
+        )
+
+    def _install_pending(
+        self, idx: int, gen: int, inode: int, lpn: int, data: bytes
+    ) -> Generator[Event, None, bool]:
+        """Write the fetched page into its pending entry and mark it clean."""
         lay = self.layout
         ok = yield from self.link.atomic_cas_u32(
             lay.lock_addr(idx), LOCK_FREE, LOCK_WRITE, tag="lock-cas"
@@ -826,8 +840,9 @@ class CacheControlPlane:
         if not ok:
             return False
         ent = yield from self._dma_read_entry(idx)
-        if ent["status"] != ST_INVALID:
-            # A racing writer already dirtied this page; keep its data.
+        if not self._is_claim(ent, gen, inode, lpn):
+            # A racing writer already dirtied this page, or the entry has
+            # moved on to another claim; either way keep what is there.
             yield from self.link.atomic_cas_u32(
                 lay.lock_addr(idx), LOCK_WRITE, LOCK_FREE, tag="lock-cas"
             )
@@ -845,7 +860,9 @@ class CacheControlPlane:
         )
         return True
 
-    def _release_pending(self, idx: int) -> Generator[Event, None, None]:
+    def _release_pending(
+        self, idx: int, gen: int, inode: int, lpn: int
+    ) -> Generator[Event, None, None]:
         """Abandon a pending claim (EOF or failed fetch)."""
         lay = self.layout
         ok = yield from self.link.atomic_cas_u32(
@@ -854,7 +871,7 @@ class CacheControlPlane:
         if not ok:
             return
         ent = yield from self._dma_read_entry(idx)
-        if ent["status"] == ST_INVALID:
+        if self._is_claim(ent, gen, inode, lpn):
             publish = struct.pack("<III", ST_FREE, ent["next"], _gen_even(ent["gen"]))
             yield from self.link.dma_write(
                 lay.entry_addr(idx) + 4, publish, tag="claim-free"

@@ -300,7 +300,7 @@ class OffloadedDfsClient(_FailureAwareRpc):
         self.cache_invalidate = None
         self.recalls_served = 0
         # Serve MDS delegation recalls on this client's fabric endpoint.
-        # RPC replies travel over per-call mailboxes, so the endpoint inbox
+        # RPC replies resume their caller directly, so the endpoint inbox
         # is otherwise idle; the listener parks on a get() immediately and
         # never perturbs seeded runs where no recall fires.
         if src in fabric.endpoints:

@@ -45,7 +45,7 @@ class DataServer:
         self.failed = False
         #: crashed: requests vanish entirely — only client timeouts notice
         self.dropped = False
-        env.process(self._serve(), name=self.name)
+        self.endpoint.serve(self._handle, f"{self.name}-req")
 
     def fail(self) -> None:
         """Inject a fail-stop outage: subsequent requests error out."""
@@ -73,11 +73,6 @@ class DataServer:
         yield self.env.timeout(self.params.ds_restart_delay)
         self.failed = False
         self.dropped = False
-
-    def _serve(self) -> Generator[Event, None, None]:
-        while True:
-            msg = yield self.endpoint.inbox.get()
-            self.env.process(self._handle(msg), name=f"{self.name}-req")
 
     def _handle(self, msg: Message) -> Generator[Event, None, None]:
         if self.dropped:

@@ -106,7 +106,7 @@ class MdsServer:
             self.name,
             RetryPolicy(timeout=params.deleg_recall_timeout, max_attempts=1),
         )
-        env.process(self._serve(), name=self.name)
+        self.endpoint.serve(self._handle, f"{self.name}-req")
 
     # -- home routing ---------------------------------------------------------
     def home_of_ino(self, ino: int) -> int:
@@ -134,12 +134,7 @@ class MdsServer:
     def _alloc_ino_range(self, count: int) -> list[int]:
         return [self._alloc_ino() for _ in range(count)]
 
-    # -- main loop ----------------------------------------------------------------
-    def _serve(self) -> Generator[Event, None, None]:
-        while True:
-            msg = yield self.endpoint.inbox.get()
-            self.env.process(self._handle(msg), name=f"{self.name}-req")
-
+    # -- request handling ---------------------------------------------------------
     def _handle(self, msg: Message) -> Generator[Event, None, None]:
         if msg.rid is not None and self.endpoint.take_abandoned(msg.rid):
             # Tied-request loser cancelled on the wire: drop unanswered.

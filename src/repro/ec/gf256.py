@@ -15,6 +15,7 @@ __all__ = [
     "GF_POLY",
     "EXP",
     "LOG",
+    "MUL_MAPS",
     "add",
     "mul",
     "div",
@@ -55,6 +56,9 @@ _MUL_TABLE = np.zeros((256, 256), dtype=np.uint8)
 for _a in range(1, 256):
     _la = int(LOG[_a])
     _MUL_TABLE[_a, 1:] = EXP[(_la + LOG[1:]).astype(np.int32)]
+
+#: the same table as 256 ``bytes.translate`` maps: MUL_MAPS[c][b] == c * b
+MUL_MAPS = [_row.tobytes() for _row in _MUL_TABLE]
 
 
 def add(a: int, b: int) -> int:

@@ -25,6 +25,28 @@ class ECError(ValueError):
     """Raised on unrecoverable shard loss or geometry misuse."""
 
 
+def _combine(coefs: Sequence[int], bufs: Sequence[bytes], size: int) -> bytes:
+    """``sum(coef_i * buf_i)`` over GF(2^8): the one inner loop of encoding,
+    decoding and parity update.  Each buffer holds ``size`` bytes.
+
+    A coefficient times a buffer is one ``bytes.translate`` through that
+    coefficient's row of the multiplication table; the sum is XOR, taken
+    eight bytes at a time over buffers padded to a whole number of words.
+    """
+    padded = -(-size // 8) * 8
+    acc = np.zeros(padded // 8, dtype=np.uint64)
+    for coef, buf in zip(coefs, bufs):
+        if coef == 0:
+            continue
+        if coef != 1:
+            buf = buf.translate(gf256.MUL_MAPS[coef])
+        if padded != size:
+            buf = buf.ljust(padded, b"\0")
+        acc ^= np.frombuffer(buf, dtype=np.uint64)
+    out = acc.tobytes()
+    return out if padded == size else out[:size]
+
+
 class ReedSolomon:
     """Encoder/decoder for a fixed (k data, m parity) geometry."""
 
@@ -34,7 +56,8 @@ class ReedSolomon:
         self.k = k
         self.m = m
         self.matrix = self._build_matrix(k, m)
-        self._parity_rows = self.matrix[k:, :]
+        #: parity coefficients as Python ints, one row per parity shard
+        self._parity_rows: list[list[int]] = self.matrix[k:, :].tolist()
 
     @staticmethod
     def _build_matrix(k: int, m: int) -> np.ndarray:
@@ -50,17 +73,7 @@ class ReedSolomon:
         size = len(data_shards[0])
         if any(len(s) != size for s in data_shards):
             raise ECError("data shards must be equal length")
-        if size == 0:
-            return [b"" for _ in range(self.m)]
-        arrs = [np.frombuffer(s, dtype=np.uint8) for s in data_shards]
-        parities = []
-        for r in range(self.m):
-            acc = np.zeros(size, dtype=np.uint8)
-            row = self._parity_rows[r]
-            for c in range(self.k):
-                gf256.addmul(acc, int(row[c]), arrs[c])
-            parities.append(acc.tobytes())
-        return parities
+        return [_combine(row, data_shards, size) for row in self._parity_rows]
 
     def encode_stripe(self, data: bytes) -> list[bytes]:
         """Split ``data`` into k shards (zero padded) and append parity.
@@ -95,16 +108,9 @@ class ReedSolomon:
         size = len(shards[rows[0]])  # type: ignore[arg-type]
         if any(len(shards[i]) != size for i in rows):  # type: ignore[arg-type]
             raise ECError("surviving shards must be equal length")
-        sub = self.matrix[rows, :]
-        dec = gf256.matinv(sub)
-        srcs = [np.frombuffer(shards[i], dtype=np.uint8) for i in rows]  # type: ignore[arg-type]
-        out: list[bytes] = []
-        for r in range(self.k):
-            acc = np.zeros(size, dtype=np.uint8)
-            for c in range(self.k):
-                gf256.addmul(acc, int(dec[r, c]), srcs[c])
-            out.append(acc.tobytes())
-        return out
+        dec = gf256.matinv(self.matrix[rows, :]).tolist()
+        srcs = [shards[i] for i in rows]
+        return [_combine(dec[r], srcs, size) for r in range(self.k)]  # type: ignore[arg-type]
 
     def decode_stripe(self, shards: Sequence[bytes | None], length: int) -> bytes:
         """Reconstruct the original ``length``-byte payload of a stripe."""
@@ -126,15 +132,12 @@ class ReedSolomon:
             raise ECError(f"need {self.m} old parities")
         if len(old_data) != len(new_data):
             raise ECError("old/new shard length mismatch")
-        delta = np.frombuffer(old_data, dtype=np.uint8) ^ np.frombuffer(
-            new_data, dtype=np.uint8
-        )
-        out = []
-        for j in range(self.m):
-            acc = np.frombuffer(old_parities[j], dtype=np.uint8).copy()
-            gf256.addmul(acc, int(self._parity_rows[j, data_index]), delta)
-            out.append(acc.tobytes())
-        return out
+        size = len(new_data)
+        delta = _combine((1, 1), (old_data, new_data), size)
+        return [
+            _combine((1, row[data_index]), (parity, delta), size)
+            for row, parity in zip(self._parity_rows, old_parities)
+        ]
 
     def reconstruct_shard(self, shards: Sequence[bytes | None], index: int) -> bytes:
         """Rebuild a single missing shard (data or parity)."""
@@ -143,9 +146,4 @@ class ReedSolomon:
         data = self.decode(shards)
         if index < self.k:
             return data[index]
-        arrs = [np.frombuffer(s, dtype=np.uint8) for s in data]
-        acc = np.zeros(len(data[0]), dtype=np.uint8)
-        row = self.matrix[index]
-        for c in range(self.k):
-            gf256.addmul(acc, int(row[c]), arrs[c])
-        return acc.tobytes()
+        return _combine(self.matrix[index].tolist(), data, len(data[0]))

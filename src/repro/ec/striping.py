@@ -9,6 +9,7 @@ client use when doing client-side EC + direct I/O (paper §2.1, §4.3).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .reedsolomon import ECError, ReedSolomon
@@ -53,6 +54,10 @@ class StripeLayout:
         self.stripe_unit = stripe_unit
         self.stripe_size = stripe_unit * rs.k  # payload bytes per stripe
         self.n_servers = n_servers
+        # A placement is a pure function of its arguments and the read path
+        # asks for one per unit.  Bounded, so the memo does not grow with
+        # the number of files a long run touches.
+        self._placement = lru_cache(maxsize=1024)(self._build_placement)
 
     # -- geometry -------------------------------------------------------------
     def stripe_of(self, offset: int) -> int:
@@ -66,6 +71,9 @@ class StripeLayout:
         return range(first, last + 1)
 
     def placement(self, file_id: int, stripe_index: int) -> StripePlacement:
+        return self._placement(file_id, stripe_index)
+
+    def _build_placement(self, file_id: int, stripe_index: int) -> StripePlacement:
         shards = []
         for i in range(self.rs.k + self.rs.m):
             server = (stripe_index + i + file_id) % self.n_servers

@@ -4,8 +4,8 @@ An RPC attempt is raced against a simulated-clock deadline via ``AnyOf``:
 the race keeps a callback registered on the attempt process, so an attempt
 that *loses* the race (or fails after the caller gave up on it) never
 trips the kernel's "failed process with no waiters" abort — its outcome is
-observed, then discarded.  Abandoned mailbox getters linger harmlessly in
-the :class:`~repro.sim.resources.Store` they were parked on.
+observed, then discarded.  An abandoned attempt stays parked on its reply
+event, which nothing else references once the caller has moved on.
 
 Backoff jitter is drawn from a caller-supplied :class:`random.Random`
 (always an :meth:`Environment.substream`), keeping retry schedules

@@ -1,6 +1,6 @@
 """Disaggregated KV store: shard servers on the simulated fabric.
 
-Each shard is an :class:`LsmEngine` behind an RPC inbox.  Service times and
+Each shard is an :class:`LsmEngine` behind an RPC endpoint.  Service times and
 thread-pool limits are charged on the simulated clock, so the store has real
 saturation behaviour — this is what lets KVFS "easily scale with
 high-performance KV stores" (paper §4.2) while still having the backend
@@ -138,7 +138,9 @@ class KvShardServer:
         #: cumulative seconds requests spent queued for a service thread —
         #: the scale-out experiments read this to locate shard saturation
         self.queue_wait_total = 0.0
-        env.process(self._serve(), name=f"{name}-server")
+        # One process per request, so the thread pool, not the inbox, is
+        # the concurrency limiter.
+        self.endpoint.serve(self._handle, f"{name}-req")
 
     # -- fault hooks ----------------------------------------------------------
     def crash(self) -> None:
@@ -217,14 +219,7 @@ class KvShardServer:
             self._move_pred(sub[1]) for ops in self._staged.values() for sub in ops
         )
 
-    # -- main loop -----------------------------------------------------------
-    def _serve(self) -> Generator[Event, None, None]:
-        while True:
-            msg = yield self.endpoint.inbox.get()
-            # Handle each request in its own process so the thread pool, not
-            # the inbox, is the concurrency limiter.
-            self.env.process(self._handle(msg), name=f"{self.name}-req")
-
+    # -- request handling ----------------------------------------------------
     def _handle(self, msg: Message) -> Generator[Event, None, None]:
         if self.failed:
             return  # crashed: the request vanishes; only a timeout saves the caller

@@ -22,8 +22,8 @@ Design notes
 from __future__ import annotations
 
 import hashlib
-import heapq
 import random
+from heapq import heappop, heappush
 from time import perf_counter
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -137,9 +137,10 @@ class Event:
         if self._triggered:
             raise SimulationError(f"{self!r} already triggered")
         self._triggered = True
-        self._ok = True
         self._value = value
-        self.env._schedule(self, 0.0, priority)
+        env = self.env
+        env._seq += 1
+        heappush(env._queue, (env._now, priority, env._seq, self))
         return self
 
     def fail(self, exc: BaseException, priority: int = PRIORITY_NORMAL) -> "Event":
@@ -151,15 +152,10 @@ class Event:
         self._triggered = True
         self._ok = False
         self._value = exc
-        self.env._schedule(self, 0.0, priority)
+        env = self.env
+        env._seq += 1
+        heappush(env._queue, (env._now, priority, env._seq, self))
         return self
-
-    def _run_callbacks(self) -> None:
-        callbacks, self.callbacks = self.callbacks, None
-        self._processed = True
-        if callbacks:
-            for cb in callbacks:
-                cb(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = (
@@ -179,23 +175,21 @@ class Timeout(Event):
         super().__init__(env)
         self.delay = delay
         self._triggered = True
-        self._ok = True
         self._value = value
-        env._schedule(self, delay, PRIORITY_NORMAL)
+        env._seq += 1
+        heappush(env._queue, (env._now + delay, PRIORITY_NORMAL, env._seq, self))
 
 
-class _Initialize(Event):
-    """Internal: kicks a freshly created process at the current time."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", process: "Process"):
-        super().__init__(env)
-        self.callbacks.append(process._resume)
-        self._triggered = True
-        self._ok = True
-        self._value = None
-        env._schedule(self, 0.0, PRIORITY_URGENT)
+def _call_soon(env: "Environment", callback, ok: bool = True, value: Any = None) -> None:
+    """Run ``callback`` at the current time, ahead of same-instant timeouts,
+    with an already-triggered event carrying ``(ok, value)``."""
+    event = Event(env)
+    event._triggered = True
+    event._ok = ok
+    event._value = value
+    event.callbacks.append(callback)
+    env._seq += 1
+    heappush(env._queue, (env._now, PRIORITY_URGENT, env._seq, event))
 
 
 class Process(Event):
@@ -204,7 +198,10 @@ class Process(Event):
     The event's value is the generator's return value (``StopIteration``
     value).  If the generator raises, the process event fails with that
     exception, propagating to any process waiting on it; if *nothing* waits
-    on it, :meth:`Environment.step` re-raises to abort the simulation.
+    on it, :meth:`Environment.run` re-raises to abort the simulation.  A
+    generator that *returns* while nothing waits on it is marked processed on
+    the spot — no end event nobody observes — and, like any already-fired
+    event, resumes whoever yields on it later at once.
     """
 
     __slots__ = ("_generator", "_target", "name")
@@ -216,7 +213,7 @@ class Process(Event):
         self._generator = generator
         self._target: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
-        _Initialize(env, self)
+        _call_soon(env, self._resume)
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time."""
@@ -224,12 +221,7 @@ class Process(Event):
             raise SimulationError("cannot interrupt a terminated process")
         if self is self.env.active_process:
             raise SimulationError("a process cannot interrupt itself")
-        event = Event(self.env)
-        event._triggered = True
-        event._ok = False
-        event._value = Interrupt(cause)
-        event.callbacks.append(self._resume_interrupt)
-        self.env._schedule(event, 0.0, PRIORITY_URGENT)
+        _call_soon(self.env, self._resume_interrupt, False, Interrupt(cause))
 
     # -- resume machinery ----------------------------------------------------
     def _resume_interrupt(self, event: Event) -> None:
@@ -242,14 +234,10 @@ class Process(Event):
                 target.callbacks.remove(self._resume)
             except ValueError:  # pragma: no cover - defensive
                 pass
-        self._target = None
-        self._step(event)
+        self._resume(event)
 
     def _resume(self, event: Event) -> None:
-        self._target = None
-        self._step(event)
-
-    def _step(self, event: Event) -> None:
+        """Callback body: advance the generator with ``event``'s outcome."""
         env = self.env
         env._active = self
         try:
@@ -260,35 +248,34 @@ class Process(Event):
         except StopIteration as stop:
             env._active = None
             self._triggered = True
-            self._ok = True
             self._value = stop.value
-            env._schedule(self, 0.0, PRIORITY_NORMAL)
+            if self.callbacks:
+                env._seq += 1
+                heappush(env._queue, (env._now, PRIORITY_NORMAL, env._seq, self))
+            else:
+                self.callbacks = None
+                self._processed = True
             return
         except BaseException as exc:
             env._active = None
             self._triggered = True
             self._ok = False
             self._value = exc
-            env._schedule(self, 0.0, PRIORITY_NORMAL)
+            env._seq += 1
+            heappush(env._queue, (env._now, PRIORITY_NORMAL, env._seq, self))
             return
         env._active = None
         if not isinstance(result, Event):
             raise SimulationError(
                 f"process {self.name!r} yielded {result!r}; processes must yield Event"
             )
+        self._target = result
         if result._processed:
             # Already fired: resume at the current time via a proxy event so
             # ordering stays heap-driven.
-            proxy = Event(env)
-            proxy._triggered = True
-            proxy._ok = result._ok
-            proxy._value = result._value
-            proxy.callbacks.append(self._resume)
-            env._schedule(proxy, 0.0, PRIORITY_URGENT)
-            self._target = result
+            _call_soon(env, self._resume, result._ok, result._value)
         else:
             result.callbacks.append(self._resume)
-            self._target = result
 
 
 class _Condition(Event):
@@ -409,9 +396,18 @@ class Environment:
         return AnyOf(self, events)
 
     # -- scheduling --------------------------------------------------------------
-    def _schedule(self, event: Event, delay: float, priority: int) -> None:
+    def at(self, when: float, value: Any = None) -> Event:
+        """An event that fires at the absolute time ``when``: a caller that
+        knows when back-to-back delays end (a pipe reservation, then a fixed
+        latency) schedules one event at the sum instead of one per leg."""
+        if when < self._now:
+            raise ValueError(f"at({when}) lies in the past (now={self._now})")
+        event = Event(self)
+        event._triggered = True
+        event._value = value
         self._seq += 1
-        heapq.heappush(self._queue, (self._now + delay, priority, self._seq, event))
+        heappush(self._queue, (when, PRIORITY_NORMAL, self._seq, event))
+        return event
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
@@ -423,19 +419,19 @@ class Environment:
         A :class:`Process` that terminated with an exception and has no
         waiter re-raises here: errors never vanish silently.
         """
+        t0 = perf_counter()
+        when, _prio, _seq, event = heappop(self._queue)
+        self._now = when
+        callbacks = event.callbacks
         prof = self._profiler
-        if prof is None:
-            when, _prio, _seq, event = heapq.heappop(self._queue)
-            self._now = when
-            had_waiters = bool(event.callbacks)
-            event._run_callbacks()
-        else:
-            t0 = perf_counter()
-            when, _prio, _seq, event = heapq.heappop(self._queue)
-            self._now = when
-            had_waiters = bool(event.callbacks)
+        if prof is not None:
             prof.run_event(event, t0)
-        if isinstance(event, Process) and not event._ok and not had_waiters:
+        else:
+            event.callbacks = None
+            event._processed = True
+            for cb in callbacks:
+                cb(event)
+        if not callbacks and not event._ok and isinstance(event, Process):
             raise event._value
 
     def run(self, until: Optional[float | Event] = None) -> Any:
@@ -455,16 +451,29 @@ class Environment:
             if stop_time < self._now:
                 raise ValueError("until lies in the past")
 
+        queue = self._queue
         t0 = perf_counter()
         seq0 = self._seq
         try:
-            while self._queue:
+            # step() inlined (one frame per event, not three); profiled runs keep it
+            while queue:
                 if stop_event is not None and stop_event._processed:
                     break
-                if self._queue[0][0] > stop_time:
+                if queue[0][0] > stop_time:
                     self._now = stop_time
                     break
-                self.step()
+                if self._profiler is not None:
+                    self.step()
+                    continue
+                self._now, _prio, _seq, event = heappop(queue)
+                callbacks = event.callbacks
+                event.callbacks = None
+                event._processed = True
+                if callbacks:
+                    for cb in callbacks:
+                        cb(event)
+                elif not event._ok and isinstance(event, Process):
+                    raise event._value
         finally:
             LOOP_STATS.wall_s += perf_counter() - t0
             LOOP_STATS.events += self._seq - seq0

@@ -151,10 +151,11 @@ class Store:
 class TokenBucket:
     """A shared bandwidth pipe.
 
-    ``transfer(nbytes)`` returns an event that fires when the bytes have
-    drained through the pipe.  Transfers are serviced FIFO at ``rate``
-    bytes/second; total throughput therefore never exceeds ``rate``, and a
-    transfer arriving at an idle pipe completes in exactly ``nbytes/rate``.
+    ``reserve(nbytes)`` returns the time at which the bytes have drained
+    through the pipe, ``transfer(nbytes)`` an event that fires then.
+    Transfers are serviced FIFO at ``rate`` bytes/second; total throughput
+    therefore never exceeds ``rate``, and a transfer arriving at an idle
+    pipe completes in exactly ``nbytes/rate``.
     """
 
     def __init__(self, env: Environment, rate: float, name: str = "link"):
@@ -168,16 +169,21 @@ class TokenBucket:
         #: cumulative bytes pushed, for traffic accounting
         self.bytes_total = 0
 
-    def transfer(self, nbytes: int) -> Event:
-        """Schedule ``nbytes`` through the pipe; event fires at completion."""
+    def reserve(self, nbytes: int) -> float:
+        """Queue ``nbytes`` behind the transfers already accepted; returns
+        the absolute time at which they have drained, as ``now + (free_at -
+        now)``: the float a ``timeout(free_at - now)`` would fire at, so a
+        caller may add a fixed delay and schedule one event at the sum."""
         if nbytes < 0:
             raise ValueError("nbytes must be >= 0")
         self.bytes_total += nbytes
-        start = max(self.env.now, self._free_at)
-        duration = nbytes / self.rate
-        self._free_at = start + duration
-        delay = self._free_at - self.env.now
-        return self.env.timeout(delay)
+        now = self.env._now
+        self._free_at = max(now, self._free_at) + nbytes / self.rate
+        return now + (self._free_at - now)
+
+    def transfer(self, nbytes: int) -> Event:
+        """Schedule ``nbytes`` through the pipe; event fires at completion."""
+        return self.env.at(self.reserve(nbytes))
 
     def utilisation(self, horizon: float) -> float:
         """Fraction of ``horizon`` seconds' capacity consumed so far."""

@@ -254,3 +254,44 @@ def test_update_parity_property(k, m, idx, seed):
     updated = rs.update_parity(idx, data[idx], new, parity)
     full = rs.encode([new if i == idx else data[i] for i in range(k)])
     assert updated == full
+
+
+# ------------------------------------------------- the one GF(2^8) inner loop
+def _combine_by_definition(coefs, bufs, size):
+    """``_combine`` spelled out byte by byte from the multiplication table."""
+    from repro.ec.gf256 import _MUL_TABLE
+
+    out = bytearray(size)
+    for coef, buf in zip(coefs, bufs):
+        for i in range(size):
+            out[i] ^= int(_MUL_TABLE[coef, buf[i]])
+    return bytes(out)
+
+
+def test_combine_matches_the_table_for_every_coefficient():
+    from repro.ec.reedsolomon import _combine
+
+    buf = bytes(range(256)) + bytes(reversed(range(256)))  # every byte value, twice
+    base = bytes(7 * i % 256 for i in range(len(buf)))
+    for coef in range(256):
+        assert _combine((1, coef), (base, buf), len(buf)) == _combine_by_definition(
+            (1, coef), (base, buf), len(buf)
+        ), coef
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(0, 255), min_size=1, max_size=5),
+    st.sampled_from([0, 1, 7, 8, 9, 64, 4097]),
+    st.randoms(use_true_random=False),
+)
+def test_combine_property_any_coefficients_any_size(coefs, size, rnd):
+    """Sizes that are not multiples of the 8-byte XOR word included."""
+    from repro.ec.reedsolomon import _combine
+
+    bufs = [bytes(rnd.getrandbits(8) for _ in range(size)) for _ in coefs]
+    got = _combine(coefs, bufs, size)
+    assert len(got) == size
+    assert got == _combine_by_definition(coefs, bufs, size)
+    # bytearray shards (what a caller assembling a stripe may hold) work too
+    assert _combine(coefs, [bytearray(b) for b in bufs], size) == got

@@ -107,3 +107,61 @@ def test_probabilistic_fault_schedule_replays_identically():
     # The schedule actually exercised the probabilistic paths.
     kinds = {kind for _, kind, _, _ in trace}
     assert "net-drop" in kinds or "net-dup" in kinds
+
+
+# -- every default-off feature on at once ---------------------------------------------
+
+#: ``FAULTED_PROFILE`` of ``bench/workloads.py``: the configuration the benchmark's
+#: ``cluster_faulted`` workload runs, and the only one with every feature on
+EVERYTHING_ON = dict(
+    kv_flash_model=True,
+    kv_inline_enabled=True,
+    kv_inline_hints=True,
+    kv_inline_adapt_window=512,
+    kv_elastic=True,
+    kv_rebalance=True,
+    kv_idem_ttl=10e-3,
+    obsv_sketches=True,
+    req_hedging=True,
+    rpc_timeout=400e-6,
+    rpc_retry_max=7,
+)
+
+
+def _everything_on_run():
+    """Two hosts, 200 mixed ops over /kvfs and /dfs, 0.3 % of the messages
+    to or from a client endpoint dropped."""
+    from repro.core.topology import build_cluster
+    from repro.workload import ClusterJobSpec, run_cluster_job
+
+    p = default_params().with_overrides(**EVERYTHING_ON)
+    cluster = build_cluster(n_hosts=2, params=p, with_dfs=True)
+    lossy = ChannelFaults(drop=0.003)
+    for node in cluster.nodes:
+        cluster.fault_plane.set_channel(src=node.endpoint, faults=lossy)
+        cluster.fault_plane.set_channel(dst=node.endpoint, faults=lossy)
+    results = [
+        run_cluster_job(
+            cluster,
+            ClusterJobSpec(name=mount, mode="randrw", mount=mount, nthreads=5,
+                           ops_per_thread=10, nfiles=4, file_size=256 * 1024),
+        )
+        for mount in ("/kvfs", "/dfs")
+    ]  # fmt: skip
+    assert [r.errors for r in results] == [0, 0]
+    fabric = cluster.fabric
+    return (
+        cluster.snapshot(),
+        cluster.fault_plane.trace_signature(),
+        cluster.env.now,
+        cluster.env._seq,
+        (fabric.messages_dropped, fabric.messages_duplicated),
+        [r.elapsed for r in results],
+    )
+
+
+def test_everything_on_profile_replays_identically_with_drops():
+    first = _everything_on_run()
+    assert first == _everything_on_run()
+    assert first[0], "registry snapshots must not be empty"
+    assert first[4][0] > 0, "the run must actually lose messages"
