@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import Callable, Generator, Optional
+from typing import Callable, Generator, Iterator, Optional
 
 from ..obsv.quantiles import NULL_HUB
 from ..obsv.tracer import NULL_TRACER
@@ -59,6 +59,9 @@ __all__ = ["CacheControlPlane"]
 #: raw wire format of one cache entry: the control plane parses DMA'd entry
 #: bytes rather than using host-side accessors
 _ENTRY = struct.Struct("<IIIIQQ")  # lock, status, next, gen, lpn, inode
+#: page write-backs one shard's fsync sweep keeps in flight: the only width at
+#: which no cache_buffered metric pays for fsync's shorter tail (DESIGN.md §9.4)
+_SYNC_WINDOW = 4
 
 # Writeback/fetch backends: generators so they can cross the network.
 Writeback = Callable[[int, int, bytes], Generator]
@@ -159,6 +162,9 @@ class CacheControlPlane:
         #: updates blocks by read-modify-write, so two pages of one block
         #: flushed by different shards concurrently would lose an update
         self._wb_locks: dict[tuple[int, int], Resource] = {}
+        #: entry index -> event fired when the write-back holding its
+        #: LOCK_READ unlocks: fsync parks on it instead of polling the lock
+        self._wb_inflight: dict[int, Event] = {}
         self.dif_checks = 0
         self.dif_errors = 0
         self.flushed_pages = 0
@@ -301,6 +307,20 @@ class CacheControlPlane:
             for j in range(lay.entries_per_bucket)
         ]
 
+    def _scan_shard(self, shard: _Shard) -> Generator[Event, None, tuple[int, Iterator[dict]]]:
+        """Read a shard's whole entry array in one burst DMA (entries are
+        laid out contiguously by index) -> ``(first index, entries)``; the
+        entries are unpacked as they are iterated, a shard can hold thousands."""
+        lay = self.layout
+        first = shard.lo * lay.entries_per_bucket
+        count = (shard.hi - shard.lo) * lay.entries_per_bucket
+        raw = yield from self.link.dma_read(
+            lay.entry_addr(first), count * ENTRY_SIZE, tag="meta-scan"
+        )
+        if count > 1:
+            self.link.stats.record_burst("meta-scan", count)
+        return first, (_unpack_entry(raw, j * ENTRY_SIZE) for j in range(count))
+
     # ------------------------------------------------------------------ flushing
     def _flusher(self, shard: _Shard) -> Generator[Event, None, None]:
         p = self.params
@@ -328,19 +348,17 @@ class CacheControlPlane:
 
     def _flush_bucket(self, bucket: int, budget: int) -> Generator[Event, None, int]:
         entries = yield from self._dma_read_bucket(bucket)
-        candidates = [
-            idx
-            for idx, ent in entries
-            if ent["status"] == ST_DIRTY and ent["lock"] == LOCK_FREE
-        ]
-        if len(candidates) > budget:
-            self._shard_for(bucket).dirty_buckets.add(bucket)  # revisit next period
-            candidates = candidates[:budget]
+        dirty = [(idx, ent) for idx, ent in entries if ent["status"] == ST_DIRTY]
+        candidates = [idx for idx, ent in dirty if ent["lock"] == LOCK_FREE][:budget]
+        if len(candidates) < len(dirty):
+            # Over budget, or locked right now (the host's hint for a page
+            # that is already dirty is suppressed): revisit next period.
+            self._shard_for(bucket).dirty_buckets.add(bucket)
         if not candidates:
             return 0
-        return (yield from self._flush_entries(candidates))
+        return (yield from self._flush_entries(candidates))[0]
 
-    def _flush_entries(self, idxs: list[int]) -> Generator[Event, None, int]:
+    def _flush_entries(self, idxs: list[int]) -> Generator[Event, None, tuple[int, list[int]]]:
         """Write back a batch of dirty pages with batched PCIe rounds.
 
         Locks are taken in one parallel CAS round, the still-dirty entries
@@ -348,7 +366,9 @@ class CacheControlPlane:
         pages are laid out by index, so a dirty run costs one transaction,
         not one per page), writebacks overlap, and the unlock CAS round is
         parallel again — the batch pays round-trip latency O(rounds), not
-        O(pages).
+        O(pages).  Returns ``(dirty pages handled, missed)``: ``missed``
+        lists the entries whose lock was lost or whose writeback failed;
+        their buckets are re-queued for the flusher.
         """
         t0 = self.env.now
         with self.tracer.span("cache.flush", track="cache", parent=None, n=len(idxs)):
@@ -356,14 +376,21 @@ class CacheControlPlane:
         self.sketches.observe("cache.flush", self.env.now - t0)
         return res
 
-    def _flush_entries_impl(self, idxs: list[int]) -> Generator[Event, None, int]:
+    def _flush_entries_impl(
+        self, idxs: list[int]
+    ) -> Generator[Event, None, tuple[int, list[int]]]:
         lay = self.layout
         locked_flags = yield from self._parallel(
             [self._try_lock_read(idx) for idx in idxs]
         )
         locked = sorted(idx for idx, ok in zip(idxs, locked_flags) if ok)
+        missed = [idx for idx, ok in zip(idxs, locked_flags) if not ok]
+        for idx in missed:
+            self._remark_dirty(idx)
         if not locked:
-            return 0
+            return 0, missed
+        done = self.env.event()
+        self._wb_inflight.update(dict.fromkeys(locked, done))
         # Re-read the locked entries (burst per contiguous run) — the host
         # may have raced a write or an invalidate before our lock landed.
         ents: dict[int, dict] = {}
@@ -386,11 +413,16 @@ class CacheControlPlane:
                 self.link.stats.record_burst("flush-data", n)
             for j in range(n):
                 pages[start + j] = raw[j * lay.page_size : (j + 1) * lay.page_size]
-        yield from self._parallel(
+        landed = yield from self._parallel(
             [self._writeback_one(idx, ents[idx], pages[idx]) for idx in dirty]
         )
+        missed += [idx for idx, ok in zip(dirty, landed) if not ok]
         yield from self._parallel([self._unlock_read(idx) for idx in locked])
-        return len(dirty)
+        for idx in locked:
+            del self._wb_inflight[idx]
+        if done.callbacks:  # an event nobody parked on is not worth scheduling
+            done.succeed()
+        return len(dirty), missed
 
     def _try_lock_read(self, idx: int) -> Generator[Event, None, bool]:
         return (
@@ -414,9 +446,10 @@ class CacheControlPlane:
         bucket = idx // self.layout.entries_per_bucket
         self._shard_for(bucket).dirty_buckets.add(bucket)
 
-    def _writeback_one(self, idx: int, ent: dict, data: bytes) -> Generator[Event, None, None]:
+    def _writeback_one(self, idx: int, ent: dict, data: bytes) -> Generator[Event, None, bool]:
         """Backend processing for one locked dirty page (EC/compression run
-        here in the paper; we compute the DIF guard tag on the DPU).
+        here in the paper; we compute the DIF guard tag on the DPU); True
+        if the page reached the backend and is marked clean.
 
         The page data is untouched, so the seqlock generation is left
         alone — only key/data mutations bump it.  A writeback the backend
@@ -428,7 +461,7 @@ class CacheControlPlane:
         if self.breaker is not None and not self.breaker.allow():
             self.writeback_skipped += 1
             self._remark_dirty(idx)
-            return
+            return False
         yield from self.dpu_cpu.execute(
             self.params.dpu_cache_ctrl_cost, tag="cache-flush"
         )
@@ -458,7 +491,7 @@ class CacheControlPlane:
             if self.breaker is not None:
                 self.breaker.record_failure()
             self._remark_dirty(idx)
-            return
+            return False
         if self.breaker is not None:
             self.breaker.record_success()
         # Mark clean: 4-byte DMA write of the status field.
@@ -466,45 +499,55 @@ class CacheControlPlane:
             self.layout.entry_addr(idx) + 4, ST_CLEAN.to_bytes(4, "little"), tag="flush-status"
         )
         self.flushed_pages += 1
-
-    def _flush_entry(self, idx: int) -> Generator[Event, None, int]:
-        """Write back one dirty page; returns 1 if flushed."""
-        return (yield from self._flush_entries([idx]))
+        return True
 
     def flush_all(self) -> Generator[Event, None, int]:
-        """Synchronously flush every dirty page (fsync/unmount path).
+        """Write back every page that is dirty *now* (fsync/unmount path).
 
-        Each shard's bucket range is swept by its own process — the full
-        flush runs shard-parallel.  Pages transiently locked by the host or
-        by a concurrent flusher are retried until no dirty page remains
-        (bounded passes).
+        A snapshot sweep, shard-parallel: fsync owes what was written before
+        the call and nothing about later writes, so it terminates under
+        writers that never pause.  Returns the number of pages written back.
         """
-        total = 0
+        counts = yield from self._parallel(
+            [self._sync_shard(shard) for shard in self._shards]
+        )
+        return sum(counts)
+
+    def _sync_shard(self, shard: _Shard) -> Generator[Event, None, int]:
+        """One burst scan names the pages owed; they go through a pipeline of
+        ``_SYNC_WINDOW`` single-page write-backs, so a page's lock is held
+        for its own write-back only.  Pages missed (lock lost, backend
+        failed) are retried from one more scan filtered to them, after the
+        back-off and after every write-back of ours that holds one of their
+        locks has finished — bounded, like the loop this replaces.
+        """
+        handled = 0
+        missed: Optional[list[int]] = None
         for _attempt in range(12):
-            counts = yield from self._parallel(
-                [self._flush_range(shard) for shard in self._shards]
-            )
-            total += sum(counts)
-            remaining = yield from self._parallel(
-                [self._scan_dirty(shard) for shard in self._shards]
-            )
-            if not any(remaining):
+            if missed:
+                parked = [self._wb_inflight[i] for i in missed if i in self._wb_inflight]
+                yield self.env.all_of([self.env.timeout(20e-6), *parked])
+            first, ents = yield from self._scan_shard(shard)
+            owed = [
+                idx
+                for idx, e in enumerate(ents, first)
+                if e["status"] == ST_DIRTY and (missed is None or idx in missed)
+            ]
+            todo, missed = iter(owed), []
+            lanes = [self._sync_pages(todo, missed) for _ in range(min(_SYNC_WINDOW, len(owed)))]
+            handled += sum((yield from self._parallel(lanes)))
+            if not missed:
                 break
-            yield self.env.timeout(20e-6)
-        return total
+        return handled
 
-    def _flush_range(self, shard: _Shard) -> Generator[Event, None, int]:
-        n = 0
-        for bucket in range(shard.lo, shard.hi):
-            n += yield from self._flush_bucket(bucket, self.layout.pages)
-        return n
-
-    def _scan_dirty(self, shard: _Shard) -> Generator[Event, None, bool]:
-        for bucket in range(shard.lo, shard.hi):
-            entries = yield from self._dma_read_bucket(bucket)
-            if any(e["status"] == ST_DIRTY for _i, e in entries):
-                return True
-        return False
+    def _sync_pages(self, todo, missed: list[int]) -> Generator[Event, None, int]:
+        """One lane of the fsync pipeline: the next owed page, alone."""
+        handled = 0
+        for idx in todo:
+            n, lost = yield from self._flush_entries([idx])
+            handled += n
+            missed += lost
+        return handled
 
     # ------------------------------------------------------------------ replacement
     def _evict_from_bucket(self, bucket: int) -> Generator[Event, None, bool]:
@@ -521,7 +564,7 @@ class CacheControlPlane:
         emap = dict(entries)
         for idx in order:
             if emap[idx]["status"] == ST_DIRTY:
-                yield from self._flush_entry(idx)
+                yield from self._flush_entries([idx])
                 if self.breaker is not None:
                     # With a fallible backend the flush may not have landed;
                     # never free a still-dirty victim (that would drop data).
@@ -577,24 +620,14 @@ class CacheControlPlane:
         return dropped
 
     def _invalidate_shard(self, shard: _Shard, inode: int) -> Generator[Event, None, int]:
-        lay = self.layout
-        epb = lay.entries_per_bucket
-        first = shard.lo * epb
-        count = (shard.hi - shard.lo) * epb
         dropped = 0
         for _attempt in range(6):
-            # Entries are laid out contiguously by index: the shard's whole
-            # metadata range is one burst read, not one DMA per bucket.
-            raw = yield from self.link.dma_read(
-                lay.entry_addr(first), count * ENTRY_SIZE, tag="meta-scan"
-            )
-            if count > 1:
-                self.link.stats.record_burst("meta-scan", count)
-            mine = []
-            for j in range(count):
-                e = _unpack_entry(raw, j * ENTRY_SIZE)
-                if e["inode"] == inode and e["status"] in (ST_CLEAN, ST_DIRTY):
-                    mine.append((first + j, e))
+            first, ents = yield from self._scan_shard(shard)
+            mine = [
+                (idx, e)
+                for idx, e in enumerate(ents, first)
+                if e["inode"] == inode and e["status"] in (ST_CLEAN, ST_DIRTY)
+            ]
             if not mine:
                 break
             dirty = sorted(idx for idx, e in mine if e["status"] == ST_DIRTY)

@@ -30,7 +30,13 @@ PROBE_FILE_SIZE = 4 << 20
 #: registry-snapshot signatures captured from the pre-refactor
 #: ``build_dpc_system`` at seed 42 — the topology layer must reproduce them
 GOLDEN_FIG2 = "5aa342586e7cc34e74bddaf3b93a005ffe5a0ac3bfad2e7897468da5d1fc24d2"
-GOLDEN_FIG8 = "948bfede2af3318a974b0b852a13fe389693def82fbcd6158a3aad20a8fabad2"
+#: FIG8 re-pinned when ``flush_all`` became a snapshot sweep (ISSUE 22): the
+#: probe's one fsync reads each shard's entries in ``meta-scan`` bursts (8
+#: DMAs, new ``pcie.burst.meta-scan``) instead of bucket by bucket, so
+#: ``pcie.reads`` 4474 -> 463 and ``by_tag.meta-scan`` 4208 -> 196; it returns
+#: sooner, which moves the two ``window_cores`` ratios, and takes its locks
+#: page by page (``lock-cas`` 253 -> 270, ``meta-read`` 126 -> 127).
+GOLDEN_FIG8 = "8e0a423ae5dfda769ac4808094583d969170026a184f8c4e058fb5de8a241f43"
 GOLDEN_FIG9 = "ced0984b4490cca75dc53ff1ba8ad01a9b74254e9a142e8474cd73186b621836"
 
 
