@@ -208,21 +208,21 @@ def _collect_kv(cluster: KvCluster, client: KvClient, rebalancer=None):
         # default-params snapshots (and their golden signatures) stay
         # byte-identical.
         if cluster.params.kv_flash_model:
+            flashes = [sh.flash for sh in cluster.shards if sh.flash is not None]
             agg: dict[str, float] = {}
-            for sh in cluster.shards:
-                if sh.flash is None:
-                    continue
-                for k, v in sh.flash.metrics("kv.flash").items():
+            for flash in flashes:
+                for k, v in flash.metrics("kv.flash").items():
                     agg[k] = agg.get(k, 0) + v
             agg.pop("kv.flash.inline_threshold", None)
             out.update(agg)
-            thresholds = [
-                sh.flash.inline_threshold
-                for sh in cluster.shards
-                if sh.flash is not None
-            ]
-            if thresholds:
-                out["kv.flash.inline_threshold.max"] = max(thresholds)
+            if flashes:
+                # a cluster-wide peak, not a sum of per-device peaks
+                out["kv.flash.gc_backlog_max"] = max(
+                    f.stats.gc_backlog_max for f in flashes
+                )
+                out["kv.flash.inline_threshold.max"] = max(
+                    f.inline_threshold for f in flashes
+                )
         if cluster.ring is not None:
             out["kv.ring.version"] = cluster.ring.version
             out["kv.ring.shards"] = len(cluster.ring.shards)

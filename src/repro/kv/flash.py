@@ -12,10 +12,13 @@ the flash operations the request actually needs:
   programs them through a log-structured write buffer (partial pages of
   small values coalesce into shared programs).
 * **garbage collection** — every ``kv_flash_block_pages`` page programs
-  reclaims one erase block: one erase plus relocation of the block's still
-  live pages (``kv_flash_gc_live`` of it, read + program each), charged
-  inline on the writer that tripped the threshold — the sporadic long-tail
-  puts real flash shows.
+  owe one erase-block reclaim: one erase plus relocation of the block's still
+  live pages (``kv_flash_gc_live`` of it, read + program each).  The debt
+  joins a per-device backlog that one background process works off a block
+  at a time; the put that crossed the boundary returns after its own
+  programs.  Only with ``GC_RESERVE_BLOCKS`` reclaims already owed does it
+  park until one ends: sustained overload is throttled to one block of
+  programs per reclaim, an isolated put never waits.
 * **small-value inlining** — values at or below the inline threshold are
   stored *inside* the mapping entry (KVPack-style): a get that hits the
   CMT needs no flash read at all, and even a CMT miss serves the value
@@ -57,6 +60,10 @@ class FlashStats:
         self.inline_puts = 0
         self.hinted_inline_puts = 0  # inlined on a client hint, not size alone
         self.adaptations = 0
+        self.gc_stalls = 0  # puts that parked at the spare-block reserve
+        self.gc_stall_time = 0.0  # summed seconds those puts stayed parked
+        self.gc_busy_time = 0.0  # seconds the background reclaim was running
+        self.gc_backlog_max = 0
 
 
 class FlashKvModel:
@@ -71,6 +78,9 @@ class FlashKvModel:
     #: bytes a mapping entry occupies in a translation page (key digest +
     #: page address + liveness bits) before any inlined value
     MAP_ENTRY_BYTES = 32
+    #: spare erase blocks: the most reclaims the device lets itself owe
+    #: before a put that crosses a block boundary has to wait for one
+    GC_RESERVE_BLOCKS = 4
 
     def __init__(self, env: Environment, params: SystemParams, name: str = "flash"):
         self.env = env
@@ -85,8 +95,12 @@ class FlashKvModel:
         self.inline_threshold = params.kv_inline_max if params.kv_inline_enabled else 0
         #: log-structured write buffer fill (bytes toward the next program)
         self._wbuf = 0
-        #: page programs since the last GC cycle
+        #: page programs into the current erase block
         self._since_gc = 0
+        #: blocks owed to GC; a reclaim process is alive exactly while it is > 0
+        self._backlog = 0
+        #: what puts parked at the reserve wait on (None: nobody is parked)
+        self._reclaimed: Optional[Event] = None
         self._ops = 0
         #: adaptive-threshold inputs, registered into the obsv registry by
         #: the topology builder when the flash model is on
@@ -103,25 +117,45 @@ class FlashKvModel:
     def _program_pages(self, n: int) -> Generator[Event, None, None]:
         if n <= 0:
             return
-        self.stats.page_writes += n
+        s = self.stats
+        s.page_writes += n
         yield self.env.timeout(n * self.params.kv_flash_write_us)
         self._since_gc += n
-        if self._since_gc >= self.params.kv_flash_block_pages:
+        while self._since_gc >= self.params.kv_flash_block_pages:
             self._since_gc -= self.params.kv_flash_block_pages
-            yield from self._gc_cycle()
+            if self._backlog >= self.GC_RESERVE_BLOCKS:
+                s.gc_stalls += 1
+                parked = self.env.now
+                while self._backlog >= self.GC_RESERVE_BLOCKS:
+                    if self._reclaimed is None:
+                        self._reclaimed = self.env.event()
+                    yield self._reclaimed
+                s.gc_stall_time += self.env.now - parked
+            self._backlog += 1
+            s.gc_backlog_max = max(s.gc_backlog_max, self._backlog)
+            if self._backlog == 1:
+                self.env.process(self._reclaim(), name=f"{self.name}-gc")
 
-    def _gc_cycle(self) -> Generator[Event, None, None]:
-        """Reclaim one erase block: erase + relocate its live pages."""
-        p = self.params
+    def _reclaim(self) -> Generator[Event, None, None]:
+        """Background GC: work the backlog off one erase block at a time, in
+        slices — the erase, then one live-page move (read + program) each."""
+        p, s, env = self.params, self.stats, self.env
         live = int(p.kv_flash_block_pages * p.kv_flash_gc_live)
-        self.stats.erases += 1
-        self.stats.gc_page_moves += live
-        # Moves do not feed back into _since_gc (GC writes to cleaned blocks).
-        self.stats.page_reads += live
-        self.stats.page_writes += live
-        yield self.env.timeout(
-            p.kv_flash_erase_us + live * (p.kv_flash_read_us + p.kv_flash_write_us)
-        )
+        while self._backlog:
+            began = env.now
+            s.erases += 1
+            yield env.timeout(p.kv_flash_erase_us)
+            for _ in range(live):
+                # Moves do not feed back into _since_gc (GC writes to cleaned blocks).
+                s.gc_page_moves += 1
+                s.page_reads += 1
+                s.page_writes += 1
+                yield env.timeout(p.kv_flash_read_us + p.kv_flash_write_us)
+            s.gc_busy_time += env.now - began
+            self._backlog -= 1
+            if self._reclaimed is not None:
+                self._reclaimed.succeed()
+                self._reclaimed = None
 
     def _buffered_write(self, nbytes: int) -> Generator[Event, None, None]:
         """Append ``nbytes`` to the log-structured write buffer; charge a
@@ -261,17 +295,6 @@ class FlashKvModel:
 
     # -- obsv ------------------------------------------------------------------
     def metrics(self, prefix: str) -> dict[str, float]:
-        s = self.stats
-        return {
-            f"{prefix}.page_reads": s.page_reads,
-            f"{prefix}.page_writes": s.page_writes,
-            f"{prefix}.erases": s.erases,
-            f"{prefix}.gc_page_moves": s.gc_page_moves,
-            f"{prefix}.cmt_hits": s.cmt_hits,
-            f"{prefix}.cmt_misses": s.cmt_misses,
-            f"{prefix}.inline_gets": s.inline_gets,
-            f"{prefix}.inline_puts": s.inline_puts,
-            f"{prefix}.hinted_inline_puts": s.hinted_inline_puts,
-            f"{prefix}.adaptations": s.adaptations,
-            f"{prefix}.inline_threshold": self.inline_threshold,
-        }
+        out = {f"{prefix}.{k}": v for k, v in vars(self.stats).items()}
+        out[f"{prefix}.inline_threshold"] = self.inline_threshold
+        return out

@@ -128,13 +128,15 @@ EVERYTHING_ON = dict(
 )
 
 
-def _everything_on_run():
-    """Two hosts, 200 mixed ops over /kvfs and /dfs, 0.3 % of the messages
-    to or from a client endpoint dropped."""
+def _everything_on_run(overrides, jobs):
+    """Two hosts running ``jobs`` (mount, mode, threads per host, ops per
+    thread) one after the other, 0.3 % of the messages to or from a client
+    endpoint dropped.  Returns the cluster and everything a replay must
+    reproduce."""
     from repro.core.topology import build_cluster
     from repro.workload import ClusterJobSpec, run_cluster_job
 
-    p = default_params().with_overrides(**EVERYTHING_ON)
+    p = default_params().with_overrides(**overrides)
     cluster = build_cluster(n_hosts=2, params=p, with_dfs=True)
     lossy = ChannelFaults(drop=0.003)
     for node in cluster.nodes:
@@ -143,14 +145,14 @@ def _everything_on_run():
     results = [
         run_cluster_job(
             cluster,
-            ClusterJobSpec(name=mount, mode="randrw", mount=mount, nthreads=5,
-                           ops_per_thread=10, nfiles=4, file_size=256 * 1024),
+            ClusterJobSpec(name=mount, mode=mode, mount=mount, nthreads=nthreads,
+                           ops_per_thread=ops, nfiles=4, file_size=256 * 1024),
         )
-        for mount in ("/kvfs", "/dfs")
+        for mount, mode, nthreads, ops in jobs
     ]  # fmt: skip
-    assert [r.errors for r in results] == [0, 0]
+    assert [r.errors for r in results] == [0] * len(jobs)
     fabric = cluster.fabric
-    return (
+    return cluster, (
         cluster.snapshot(),
         cluster.fault_plane.trace_signature(),
         cluster.env.now,
@@ -161,7 +163,25 @@ def _everything_on_run():
 
 
 def test_everything_on_profile_replays_identically_with_drops():
-    first = _everything_on_run()
-    assert first == _everything_on_run()
+    """200 mixed ops over /kvfs and /dfs."""
+    jobs = [("/kvfs", "randrw", 5, 10), ("/dfs", "randrw", 5, 10)]
+    _, first = _everything_on_run(EVERYTHING_ON, jobs)
+    assert first == _everything_on_run(EVERYTHING_ON, jobs)[1]
     assert first[0], "registry snapshots must not be empty"
     assert first[4][0] > 0, "the run must actually lose messages"
+
+
+def test_default_retry_budget_rides_out_flash_gc():
+    """With GC off the request thread the profile no longer needs its 7
+    attempts: 800 KVFS writes, several blocks reclaimed per shard, at the
+    default ``rpc_retry_max`` — nothing fails, no budget runs out."""
+    overrides = {k: v for k, v in EVERYTHING_ON.items() if k != "rpc_retry_max"}
+    assert default_params().rpc_retry_max == 5
+    jobs = [("/kvfs", "randwrite", 8, 50)]
+    cluster, first = _everything_on_run(overrides, jobs)
+    assert first == _everything_on_run(overrides, jobs)[1]
+    assert max(sh.flash.stats.erases for sh in cluster.kv_cluster.shards) >= 3
+    assert first[4][0] > 0, "the run must actually lose messages"
+    for snap in first[0].values():
+        exhausted = {k: v for k, v in snap.items() if k.endswith("exhausted")}
+        assert exhausted and not any(exhausted.values()), exhausted

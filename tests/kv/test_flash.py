@@ -74,24 +74,156 @@ def test_small_puts_coalesce_into_shared_programs():
     assert m.stats.page_writes == 2 * n + 1
 
 
+def _reclaim_time(p):
+    """One block's reclaim: the erase, then a read + program per live page."""
+    live = int(p.kv_flash_block_pages * p.kv_flash_gc_live)
+    return p.kv_flash_erase_us + live * (p.kv_flash_read_us + p.kv_flash_write_us)
+
+
+def _put_pages(m, key, pages):
+    return m.charge_put(key, b"z" * (pages * m.params.kv_flash_page))
+
+
+def _track_gc(env):
+    """Record every GC process spawned on ``env``."""
+    spawned, spawn = [], env.process
+
+    def process(gen, name=""):
+        proc = spawn(gen, name)
+        if name.endswith("-gc"):
+            spawned.append(proc)
+        return proc
+
+    env.process = process
+    return spawned
+
+
 def test_gc_fires_per_erase_block():
     env, m = make_model(kv_flash_block_pages=4, kv_flash_gc_live=0.5)
+    p = m.params
 
     def flow():
-        before = env.now
-        yield from m.charge_put(b"big", b"z" * (4 * m.params.kv_flash_page))
-        return env.now - before
+        yield from _put_pages(m, b"big", 4)
+        return env.now
 
-    elapsed = run(env, flow())
+    # The put that fills the block pays its own programs and nothing else.
+    assert run(env, flow()) == pytest.approx(4 * p.kv_flash_write_us)
+    assert m.stats.gc_stalls == 0
+    env.run()
     assert m.stats.erases == 1
     assert m.stats.gc_page_moves == 2  # 50% of a 4-page block relocated
-    p = m.params
-    expected = (
-        4 * p.kv_flash_write_us
-        + p.kv_flash_erase_us
-        + 2 * (p.kv_flash_read_us + p.kv_flash_write_us)
+    assert env.now == pytest.approx(4 * p.kv_flash_write_us + _reclaim_time(p))
+    assert m.stats.gc_busy_time == pytest.approx(_reclaim_time(p))
+
+
+def test_one_program_call_owes_a_reclaim_per_block_crossed():
+    env, m = make_model(kv_flash_block_pages=4)
+    run(env, _put_pages(m, b"big", 16))
+    env.run()
+    assert m.stats.erases == 4
+    assert m._since_gc == 0
+
+
+def test_gc_work_is_conserved():
+    env, m = make_model(kv_flash_block_pages=8, kv_flash_gc_live=0.25)
+
+    def flow():
+        for i in range(37):
+            yield from _put_pages(m, b"k%02d" % i, 1 + i % 3)
+
+    run(env, flow())
+    env.run()
+    s = m.stats
+    programs = s.page_writes - s.gc_page_moves
+    assert programs >= 37
+    assert s.erases == programs // 8
+    assert s.gc_page_moves == s.erases * 2
+    assert s.page_reads == s.gc_page_moves
+    assert s.gc_busy_time == pytest.approx(s.erases * _reclaim_time(m.params))
+
+
+def test_put_past_the_reserve_parks_until_the_reclaim_ends():
+    env, m = make_model(kv_flash_block_pages=1, kv_flash_gc_live=0.0)
+    p, reserve = m.params, FlashKvModel.GC_RESERVE_BLOCKS
+    done = []
+
+    def flow():
+        # Every one-page put crosses a block; the first `reserve` fill the
+        # backlog while reclaim 1 is still erasing, the next one overruns it.
+        for i in range(reserve + 1):
+            yield from _put_pages(m, b"k%d" % i, 1)
+            done.append(env.now)
+
+    run(env, flow())
+    write = p.kv_flash_write_us
+    assert done[:reserve] == pytest.approx([(i + 1) * write for i in range(reserve)])
+    # ... and resumes at the instant the first reclaim (begun at `write`) ends.
+    assert done[reserve] == pytest.approx(write + _reclaim_time(p))
+    assert m.stats.gc_stalls == 1
+    assert m.stats.gc_stall_time == pytest.approx(done[reserve] - (reserve + 1) * write)
+    env.run()
+    out = m.metrics("kv.flash")
+    assert out["kv.flash.gc_stalls"] == 1
+    assert out["kv.flash.gc_stall_time"] == m.stats.gc_stall_time
+    assert out["kv.flash.gc_backlog_max"] == reserve
+    assert out["kv.flash.gc_busy_time"] == pytest.approx(
+        (reserve + 1) * _reclaim_time(p)
     )
-    assert elapsed == pytest.approx(expected)
+
+
+def test_sustained_put_rate_is_bounded_by_serial_reclaim():
+    env, m = make_model(kv_flash_block_pages=2, kv_flash_gc_live=0.5)
+    writers, per_writer = 16, 12
+
+    def writer(w):
+        for i in range(per_writer):
+            yield from _put_pages(m, b"w%02d-%02d" % (w, i), 1)
+
+    env.run(until=env.all_of([env.process(writer(w)) for w in range(writers)]))
+    blocks = writers * per_writer // 2
+    floor = (blocks - FlashKvModel.GC_RESERVE_BLOCKS) * _reclaim_time(m.params)
+    assert env.now >= floor
+    assert m.stats.gc_stalls > 0
+    assert m.stats.gc_backlog_max == FlashKvModel.GC_RESERVE_BLOCKS
+
+
+def test_one_gc_process_at_a_time_and_none_at_quiescence():
+    env, m = make_model(kv_flash_block_pages=2)
+    spawned = _track_gc(env)
+
+    def flow():
+        for burst in range(3):
+            for i in range(6):
+                yield from _put_pages(m, b"k", 1)
+                assert sum(not g.triggered for g in spawned) == (m._backlog > 0)
+            assert m._backlog > 1  # several blocks owed, still one process
+            yield env.timeout(1.0)  # long enough to drain the backlog
+            assert all(g.triggered for g in spawned)
+
+    run(env, flow())
+    env.run()
+    # Spawned when the backlog leaves 0, gone when it is back: once a burst.
+    assert len(spawned) == 3
+    assert all(g.triggered for g in spawned) and m._backlog == 0
+    assert env.peek() == float("inf")
+
+
+def test_get_during_a_reclaim_is_not_delayed():
+    env, m = make_model(kv_flash_block_pages=4)
+    p = m.params
+
+    def flow():
+        yield from _put_pages(m, b"big", 4)
+        assert m._backlog == 1  # the reclaim is running from here on
+        t0 = env.now
+        yield from m.charge_get(b"big", b"z" * (4 * p.kv_flash_page))
+        return env.now - t0
+
+    # CMT hit (the put cached the mapping) + the four data pages.
+    assert run(env, flow()) == pytest.approx(
+        p.kv_cmt_hit_us + 4 * p.kv_flash_read_us
+    )
+    assert m.stats.erases == 1 and m._backlog == 1
 
 
 # -- inlining ----------------------------------------------------------------
