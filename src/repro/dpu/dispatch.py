@@ -139,7 +139,7 @@ class IoDispatch:
                 return FileResponse(attr=attr), b""
             if op == FileOp.READDIR:
                 entries = yield from fs.readdir(req.ino)
-                return self._paginate_dirents(entries, req.offset), b""
+                return self._paginate_dirents(entries, req.offset, req.length)
             if op == FileOp.UNLINK:
                 yield from fs.unlink(req.ino, req.name)
                 return FileResponse(), b""
@@ -212,7 +212,7 @@ class IoDispatch:
                 return FileResponse(attr=attr), b""
             if op == FileOp.READDIR:
                 entries = yield from fs.readdir(req.ino)
-                return self._paginate_dirents(entries, req.offset), b""
+                return self._paginate_dirents(entries, req.offset, req.length)
             if op == FileOp.UNLINK:
                 yield from fs.unlink(req.ino, req.name)
                 return FileResponse(), b""
@@ -270,7 +270,7 @@ class IoDispatch:
                 return FileResponse(attr=attr), b""
             if op == FileOp.READDIR:
                 entries = yield from client.readdir(req.ino)
-                return self._paginate_dirents(entries, req.offset), b""
+                return self._paginate_dirents(entries, req.offset, req.length)
             if op in (FileOp.UNLINK, FileOp.RMDIR):
                 yield from client.unlink(req.ino, req.name)
                 return FileResponse(), b""
@@ -299,26 +299,29 @@ class IoDispatch:
         except DfsError as e:
             return FileResponse(status=e.errno_code), b""
 
-    #: dirent bytes per READDIR response (must fit the RH_len header room)
-    READDIR_BATCH = 360
+    @staticmethod
+    def _paginate_dirents(entries, cookie: int, room: int) -> tuple[FileResponse, bytes]:
+        """getdents-style pagination into the READDIR read buffer.
 
-    def _paginate_dirents(self, entries, cookie: int) -> FileResponse:
-        """getdents-style pagination: pack entries from ``cookie`` until the
-        response header region is full; ``aux`` carries the next cookie
-        (0 = listing complete)."""
+        Packs entries from ``cookie`` until ``room`` bytes are used, always
+        at least one (a maximal dirent fits a page).  ``aux`` carries the
+        next cookie, 0 once the listing is complete; ``size`` is the
+        payload length.
+        """
         out = []
         used = 0
         i = int(cookie)
         while i < len(entries):
             name, ino = entries[i]
             rec = 11 + len(name)
-            if out and used + rec > self.READDIR_BATCH:
+            if out and used + rec > room:
                 break
             out.append((name, ino, False))
             used += rec
             i += 1
         next_cookie = i if i < len(entries) else 0
-        return FileResponse(aux=next_cookie, data=pack_dirents(out))
+        blob = pack_dirents(out)
+        return FileResponse(aux=next_cookie, size=len(blob)), blob
 
     # ------------------------------------------------------------------ cache hooks
     def _dif_drop_range(self, tagged_ino: int, offset: int, length: int) -> None:

@@ -90,17 +90,19 @@ class _TransportAdapterBase:
         return self._check(resp).attr
 
     def readdir(self, ino):
-        """getdents-style loop: the DPU paginates listings via the ``aux``
-        cookie so arbitrarily large directories fit the response header."""
+        """getdents-style loop: each READDIR fills one page of the read
+        buffer with dirents, and the ``aux`` cookie resumes the listing
+        until it comes back 0."""
         out = []
         cookie = 0
         while True:
-            resp, _ = yield from self._submit(
-                FileRequest(FileOp.READDIR, ino=ino, offset=cookie)
+            resp, payload = yield from self._submit(
+                FileRequest(FileOp.READDIR, ino=ino, offset=cookie, length=PAGE),
+                read_len=PAGE,
             )
             self._check(resp)
             out.extend(
-                (name, child) for name, child, _is_dir in unpack_dirents(resp.data)
+                (name, child) for name, child, _is_dir in unpack_dirents(payload)
             )
             if not resp.aux:
                 return out

@@ -166,9 +166,12 @@ class FileRequest:
 class FileResponse:
     """Outcome of a file operation as sent DPU -> host.
 
-    ``attr`` is present for STAT/LOOKUP/CREATE; ``data`` carries READDIR
-    listings or other op-specific metadata.  READ payload bytes travel in
-    the PRP Read data buffer, not here.
+    ``attr`` is present for STAT/LOOKUP/CREATE.  ``size`` is the completed
+    byte count: bytes written for WRITE, payload bytes for READ and READDIR.
+    ``aux`` is one op-specific word: the next READDIR cookie (0 = listing
+    complete) or the DELEG_ACQUIRE grant bit.  READ data and READDIR
+    dirents travel in the PRP Read data buffer, not here.  ``data`` is
+    op-specific header bytes; no operation fills it today.
     """
 
     status: Errno = Errno.OK

@@ -302,8 +302,8 @@ class NvmeFsInitiator:
         else:
             response = FileResponse(status=Errno(cqe.status), size=cqe.result)
         payload = b""
-        if pend.read_len and response.ok:
-            got = min(pend.read_len, response.size if response.size else pend.read_len)
+        got = min(pend.read_len, response.size)
+        if got > 0 and response.ok:
             payload = self.arena.read(pend.rbuf + pend.rh_len, got)
         return response, payload
 

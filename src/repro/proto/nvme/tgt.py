@@ -10,9 +10,10 @@ write:
   ③ DMA-read the write payload,
   ④ DMA-write the CQE.
 
-(If the response carries a header — attributes, dirents — one extra DMA
-writes it into the PRP Read region; plain read/write status rides inside
-the CQE result.)  Reads substitute ③ with a DMA-write of the read payload.
+(If the response carries a header — attributes, an ``aux`` word — one extra
+DMA writes it into the PRP Read region; plain status and the completed byte
+count ride inside the CQE result.)  Reads substitute ③ with a DMA-write of
+the read payload; so does READDIR, whose dirents fill the read buffer.
 
 Under load the *control plane* of that path coalesces, as on real NVMe
 controllers:
@@ -173,9 +174,9 @@ class NvmeFsTarget:
             yield from self.link.dma_write(
                 sqe.prp_read1 + sqe.rh_len, read_payload, tag="read-data"
             )
-        # Optional response header (attributes / dirents / errors with detail).
-        header_present = response.attr is not None or response.data
-        if header_present:
+        # Optional response header: attributes, or an ``aux`` word (a READDIR
+        # continuation cookie, a delegation grant) the CQE result cannot hold.
+        if response.attr is not None or response.data or response.aux:
             blob = response.pack()
             if len(blob) > sqe.rh_len:
                 raise ValueError("response header exceeds RH_len region")

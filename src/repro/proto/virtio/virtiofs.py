@@ -210,17 +210,25 @@ class VirtioFsHost:
         try:
             yield done
             # Parse the response written into the out descriptor.
+            # ``len`` counts every reply byte: the FileResponse body (if any)
+            # plus the payload written into the read pages.
             out_raw = self.arena.read(out_addr, out_room)
             out_hdr = FuseOutHeader.unpack(out_raw)
-            body_len = out_hdr.length - FuseOutHeader.SIZE
-            if body_len > 0:
+            reply_len = out_hdr.length - FuseOutHeader.SIZE
+            got = 0
+            if out_hdr.error:
+                response = FileResponse(status=Errno(-out_hdr.error))
+            elif request.op == FileOp.READ:
+                response = FileResponse(size=reply_len)
+                got = reply_len
+            elif reply_len > 0:
                 response = FileResponse.unpack(out_raw[FuseOutHeader.SIZE :])
+                got = reply_len - response.wire_size()
             else:
-                status = Errno(-out_hdr.error) if out_hdr.error else Errno.OK
-                response = FileResponse(status=status)
+                response = FileResponse()
             payload = b""
-            if read_len and response.ok:
-                got = min(read_len, response.size or read_len)
+            got = min(read_len, got)
+            if got > 0 and response.ok:
                 payload = self.arena.read(out_addr + out_room, got)
             yield from self.host_cpu.execute(
                 self.params.fuse_request_cost * 0.4 + self.params.completion_wakeup_cost,
@@ -362,21 +370,28 @@ class DpfsHal:
         yield from self.dpu_cpu.execute(self.params.dpu_fuse_hal_cost, tag="dpfs-hal")
         response, read_payload = yield from self.backend(None, request, payload)
         # ⑧' write the read payload into the device-writable pages.
-        used_len = FuseOutHeader.SIZE
-        if read_payload and read_descs:
-            if len(read_payload) > read_len:
-                read_payload = read_payload[:read_len]
+        read_payload = read_payload[:read_len] if read_descs else b""
+        if read_payload:
             yield from link.dma_write(
                 read_descs[0].addr, read_payload, tag="read-data", paged=True
             )
-            used_len += len(read_payload)
-        # ⑨ write the response (fuse_out header + body).
+        used_len = FuseOutHeader.SIZE + len(read_payload)
+        # ⑨ write the response (fuse_out header + body).  A FUSE_READ reply is
+        # raw data, so a failed read rides in ``error``; every other reply
+        # that fills a read buffer (READDIR) always carries the body, so the
+        # host can tell the body from the payload bytes ``len`` also counts.
         resp_body = b""
-        if response.attr is not None or response.data or not response.ok:
+        if hdr.opcode != FuseOp.READ and (
+            response.attr is not None
+            or response.data
+            or response.aux
+            or not response.ok
+            or read_len
+        ):
             resp_body = response.pack()
         out = FuseOutHeader(
-            FuseOutHeader.SIZE + len(resp_body),
-            -int(response.status) if not response.ok and not resp_body else 0,
+            FuseOutHeader.SIZE + len(resp_body) + len(read_payload),
+            -int(response.status) if not resp_body else 0,
             hdr.unique,
         ).pack() + resp_body
         yield from link.dma_write(out_desc.addr, out, tag="resp-write")
@@ -413,4 +428,6 @@ class DpfsHal:
                 FileRequest(FileOp.WRITE, ino=win.fh, offset=win.offset, length=win.size),
                 0,
             )
-        return FileRequest.unpack(body), 0
+        request = FileRequest.unpack(body)
+        # READDIR fills the read buffer, as on nvme-fs: ``length`` sizes it.
+        return request, request.length if request.op == FileOp.READDIR else 0

@@ -5,7 +5,9 @@ import pytest
 from repro.core import build_dpc_system, build_raw_transport
 from repro.host.adapters import FsError, O_DIRECT
 from repro.host.vfs import O_CREAT
-from repro.proto.filemsg import Errno
+from repro.proto.filemsg import Errno, FileOp, FileRequest
+
+PAGE = 4096
 
 
 def test_large_direct_io_splits_into_parallel_subcommands():
@@ -78,6 +80,47 @@ def test_partial_page_buffered_write_merges():
         return data
 
     assert sys.run_until(app()) == b"AABBBAA"
+
+
+def test_direct_read_past_eof_returns_no_bytes():
+    """A zero-byte completion must not hand back an earlier command's buffer."""
+    sys = build_dpc_system()
+
+    def app():
+        f = yield from sys.vfs.open("/kvfs/short", O_CREAT | O_DIRECT)
+        yield from sys.vfs.write(f, 0, b"x" * 100)
+        return (yield from sys.vfs.read(f, 8192, 4096))
+
+    assert sys.run_until(app()) == b""
+
+
+def test_buffered_partial_write_past_eof_merges_zeros():
+    sys = build_dpc_system()
+
+    def app():
+        f = yield from sys.vfs.open("/kvfs/sparse", O_CREAT | O_DIRECT)
+        yield from sys.vfs.write(f, 0, b"x" * PAGE)
+        yield from sys.vfs.read(f, 0, PAGE)  # leaves x's in a read buffer
+        f2 = yield from sys.vfs.open("/kvfs/sparse")
+        yield from sys.vfs.write(f2, 8192 + 10, b"BBB")  # partial page past EOF
+        return (yield from sys.vfs.read(f2, 8192, 16))
+
+    assert sys.run_until(app()) == b"\0" * 10 + b"BBB" + b"\0" * 3
+
+
+def test_deleg_acquire_grant_reaches_host():
+    """A response carrying only ``aux`` still crosses the transport."""
+    sys = build_dpc_system(with_dfs=True)
+
+    def app():
+        f = yield from sys.vfs.open("/dfs/locked", O_CREAT)
+        resp, _ = yield from sys.dfs_adapter._submit(
+            FileRequest(FileOp.DELEG_ACQUIRE, ino=f.ino)
+        )
+        return resp
+
+    resp = sys.run_until(app())
+    assert resp.ok and resp.aux == 1
 
 
 def test_error_status_becomes_fs_error():

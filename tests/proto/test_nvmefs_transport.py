@@ -218,6 +218,36 @@ def test_zero_length_ops():
     assert out["payload"] == b""
 
 
+def test_zero_byte_read_completion_returns_no_stale_bytes():
+    """The payload is exactly the completed byte count, even when it is 0."""
+    env = Environment()
+    p = default_params()
+    arena = MemoryArena(16 * 1024 * 1024)
+    link = PcieLink(env, arena)
+    ini = NvmeFsInitiator(env, arena, link, CpuPool(env, 4), p, num_queues=1)
+    eof = 100
+
+    def backend(sqe, request, payload):
+        yield from ()
+        data = (b"x" * eof)[request.offset : request.offset + request.length]
+        return FileResponse(size=len(data)), data
+
+    NvmeFsTarget(env, link, CpuPool(env, 4), p, ini.queues, backend)
+
+    def flow():
+        _, first = yield from ini.submit(
+            FileRequest(FileOp.READ, ino=1, offset=0, length=4096), read_len=4096
+        )
+        _, past_eof = yield from ini.submit(
+            FileRequest(FileOp.READ, ino=1, offset=8192, length=4096), read_len=4096
+        )
+        return first, past_eof
+
+    first, past_eof = env.run(until=env.process(flow()))
+    assert first == b"x" * eof
+    assert past_eof == b""
+
+
 def test_in_flight_tracking():
     env, _, ini, _, _ = build()
     assert ini.in_flight() == 0

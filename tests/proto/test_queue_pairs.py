@@ -39,7 +39,7 @@ def test_queue_pair_rejects_zero_depth():
 
 
 def test_readdir_pagination_large_directory():
-    """A 200-entry directory streams through the 2 KiB header region."""
+    """A 200-entry directory pages through the READDIR read buffer."""
     sys = build_dpc_system()
 
     def app():
@@ -57,6 +57,7 @@ def test_readdir_pagination_large_directory():
 
 
 def test_readdir_long_names_fit_header_region():
+    """Names of hundreds of bytes list whole (dirents ride the read buffer)."""
     sys = build_dpc_system()
 
     def app():

@@ -122,6 +122,51 @@ def test_write_then_read_roundtrip():
     assert out["payload"] == bytes(range(256)) * 32
 
 
+def test_zero_byte_read_returns_no_stale_bytes():
+    """fuse_out_header.len carries the byte count, as FUSE does."""
+    env, _, host, _, store = build()
+    store[(1, 0)] = b"x" * 4096
+
+    def flow():
+        _, first = yield from host.submit(
+            FileRequest(FileOp.READ, ino=1, offset=0, length=4096), read_len=4096
+        )
+        store[(1, 0)] = b"y" * 10
+        _, short = yield from host.submit(
+            FileRequest(FileOp.READ, ino=1, offset=0, length=4096), read_len=4096
+        )
+        store[(1, 0)] = b""
+        _, empty = yield from host.submit(
+            FileRequest(FileOp.READ, ino=1, offset=0, length=4096), read_len=4096
+        )
+        return first, short, empty
+
+    first, short, empty = env.run(until=env.process(flow()))
+    assert first == b"x" * 4096
+    assert short == b"y" * 10
+    assert empty == b""
+
+
+def test_read_error_propagates_through_fuse():
+    env, _, host, hal, _ = build()
+
+    def backend(_sqe, request, payload):
+        yield from ()
+        return FileResponse(status=Errno.EIO), b""
+
+    hal.backend = backend
+
+    def flow():
+        return (
+            yield from host.submit(
+                FileRequest(FileOp.READ, ino=1, offset=0, length=4096), read_len=4096
+            )
+        )
+
+    resp, payload = env.run(until=env.process(flow()))
+    assert resp.status == Errno.EIO and payload == b""
+
+
 def test_8k_write_takes_exactly_11_dmas():
     """Paper Figure 2(b): the virtio-fs walk costs 11 DMA operations."""
     env, link, host, _, _ = build()
