@@ -98,8 +98,8 @@ class MdsServer:
         self.forwards = 0
         #: requests dropped unanswered after a tied-request wire cancel
         self.cancel_drops = 0
-        # Delegation recalls are single-shot with a deadline; the shared
-        # request engine runs them in legacy mode (no hedging, no retries).
+        # Delegation recalls are single-shot with a fixed deadline: the
+        # shared request engine with no hedging, no retries and no sketches.
         self._req = RequestEngine(
             env,
             fabric,

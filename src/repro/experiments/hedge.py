@@ -7,7 +7,7 @@ hedging + adaptive-retry policies toggled, and reports what hedging buys on
 the tail:
 
 * ``healthy/off`` — the no-fault baseline p50/p99 and goodput.
-* ``full/off`` — the crash scenario on the legacy retry path: reads that
+* ``full/off`` — the crash scenario on the plain retry path: reads that
   land on the silent server burn the full RPC deadline (plus backoff)
   before falling back, so p99 blows out by ~50x.
 * ``full/hedged`` — same schedule with ``req_hedging`` +

@@ -8,7 +8,7 @@ that world *failable* on the simulated clock, deterministically:
   NVMe transient completion errors) plus a trace of every fault *and*
   every recovery action, so availability and tail-latency-under-failure
   are measurable outputs.
-* :class:`RetryPolicy` / :func:`call_with_timeout` — per-RPC timeouts with
+* :class:`RetryPolicy` / :class:`RequestEngine` — per-RPC timeouts with
   exponential backoff + deterministic jitter and a bounded retry budget.
 * :class:`CircuitBreaker` — closed/open/half-open breaker used to degrade
   the hybrid cache to write-through when the DPU-side flusher backend is
@@ -29,7 +29,6 @@ from .retry import (
     RetryBudgetExceeded,
     RetryPolicy,
     RpcTimeout,
-    call_with_timeout,
     retry_policy_from,
 )
 
@@ -47,6 +46,5 @@ __all__ = [
     "RetryBudgetExceeded",
     "RetryPolicy",
     "RpcTimeout",
-    "call_with_timeout",
     "retry_policy_from",
 ]

@@ -4,7 +4,7 @@ Every remote call the clients make — DFS metadata RPCs, stripe-unit I/O,
 KV operations, delegation recalls, migration chunk streams — historically
 carried its own copy of the same retry/timeout loop.  This module owns
 that loop once, as an :class:`Attempt`/:class:`Outcome` abstraction, and
-layers three tail-latency policies on top:
+layers four tail-latency policies on top:
 
 * **hedging** — after a per-endpoint delay derived from the live
   SketchHub p99 of that endpoint's observed latencies (never a fixed
@@ -16,30 +16,34 @@ layers three tail-latency policies on top:
   costed fabric-level cancel message marks the request id abandoned at
   the destination endpoint, and the server's abandon check (before and
   after thread admission) drops it unanswered, freeing the queue slot.
-* **adaptive retry budgets** — per-endpoint retry budgets fed by the
-  same observed-latency quantiles: attempt deadlines tighten toward the
-  endpoint's p999, backoff tracks its p50, and an endpoint that has
-  already burned its retry budget sheds instead of hammering a
-  saturated server.
+* **attempt deadlines** — a request's first attempt gives up after
+  ``timeout_multiplier`` times the endpoint's observed
+  ``timeout_quantile`` latency (clamped into [hedge floor, policy
+  timeout]) once the sketch holds ``ceil(10 / (1 - q))`` observations —
+  ten beyond the quantile; a colder endpoint, and every retry, waits the
+  policy timeout, so the retry window that rides out an outage is fixed.
+* **adaptive retry budgets** — with ``adaptive_retry`` on, per-endpoint
+  retry budgets shed instead of hammering a saturated server, and backoff
+  tracks the endpoint's observed p50.
 
-Determinism contract: with both policies off (``RequestConfig.enabled``
-False — the default) the engine executes the *exact* legacy loop —
-same ``rpc-attempt`` process names, same RNG draws from the caller's
-substream, same fault-plane records, same counters — so the defaults-off
-event stream is bit-identical to the pre-engine simulator.  With a
-policy on, runs remain bit-reproducible from the master seed; they are
-simply a different (shorter-tailed) schedule.
+Determinism contract: a call without a retry policy (``rpc_timeout`` 0)
+is a bare ``fabric.rpc`` — no deadline process, no RNG draw — so fail-free
+runs do not see the engine at all.  Every call with a policy runs the one
+race loop; its deadlines, hedge delays and backoffs are functions of the
+endpoint's sketch and the caller's RNG substream only, so runs stay
+bit-reproducible from the master seed.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Any, Callable, Generator, Optional
 
 from ..obsv.quantiles import NULL_HUB
 from ..sim.core import Environment, Event
-from .retry import RetryBudgetExceeded, RetryPolicy, RpcTimeout, call_with_timeout
+from .retry import RetryBudgetExceeded, RetryPolicy, RpcTimeout
 
 __all__ = ["Attempt", "Outcome", "ReqStats", "RequestConfig", "RequestEngine"]
 
@@ -49,7 +53,7 @@ _UNSET = object()
 
 @dataclass(frozen=True)
 class RequestConfig:
-    """Hedging / tied-request / adaptive-retry knobs (all off by default)."""
+    """Hedging / tied-request / adaptive-retry / deadline knobs."""
 
     #: issue a second attempt after the per-endpoint hedge delay
     hedging: bool = False
@@ -66,20 +70,27 @@ class RequestConfig:
     hedge_min_obs: int = 16
     #: cancel the losing attempt on the wire (tied requests)
     tied_cancel: bool = True
-    #: quantile-fed attempt deadlines, backoff and retry budgets
+    #: quantile-fed backoff and per-endpoint retry budgets
     adaptive_retry: bool = False
     #: retries allowed per endpoint: budget_min + budget_ratio * attempts
     budget_ratio: float = 0.1
     budget_min: int = 8
-    #: adaptive attempt deadline: this quantile times the multiplier,
-    #: clamped to the policy's configured timeout
-    timeout_quantile: float = 0.999
+    #: first-attempt deadline: this quantile times the multiplier,
+    #: clamped into [hedge_floor, policy timeout]
+    timeout_quantile: float = 0.99
     timeout_multiplier: float = 3.0
 
     @property
     def enabled(self) -> bool:
-        """Any policy on?  Off means the bit-identical legacy loop."""
+        """Hedging or adaptive retry on?  Gates the ``req.*`` registry keys."""
         return self.hedging or self.adaptive_retry
+
+    @property
+    def timeout_min_obs(self) -> int:
+        """Observations before the sketch sets deadlines: ten samples beyond
+        ``timeout_quantile`` (1000 for p99)."""
+        # - 1e-6: 1 - 0.9 is 0.09999999999999998, which would ask for 101
+        return math.ceil(10.0 / (1.0 - self.timeout_quantile) - 1e-6)
 
     @classmethod
     def from_params(cls, p) -> "RequestConfig":
@@ -135,7 +146,7 @@ class ReqStats:
 
     __slots__ = (
         "attempts", "hedges", "hedge_wins", "cancels",
-        "budget_exhausted", "retries",
+        "budget_exhausted", "retries", "timeouts",
     )
 
     def __init__(self) -> None:
@@ -145,6 +156,8 @@ class ReqStats:
         self.cancels = 0
         self.budget_exhausted = 0
         self.retries = 0
+        #: attempt deadlines that fired
+        self.timeouts = 0
 
     def as_dict(self) -> dict[str, int]:
         return {
@@ -153,6 +166,7 @@ class ReqStats:
             "hedge_wins": self.hedge_wins,
             "cancels": self.cancels,
             "budget_exhausted": self.budget_exhausted,
+            "timeouts": self.timeouts,
         }
 
 
@@ -160,8 +174,8 @@ class RequestEngine:
     """The one retry/timeout/hedge loop every remote call routes through.
 
     One engine per call-site owner (DFS client, stripe engine, KV client,
-    rebalancer, MDS recall path); the owner passes its historical RNG
-    substream and fault plane so the defaults-off schedule is unchanged.
+    rebalancer, MDS recall path); the owner passes its RNG substream, fault
+    plane and sketch hub.
     """
 
     def __init__(
@@ -186,7 +200,7 @@ class RequestEngine:
         self.config = config or DEFAULT_CONFIG
         #: per-endpoint counters, keyed by destination (or explicit endpoint)
         self.stats: dict[str, ReqStats] = {}
-        #: legacy aggregate counters the obsv collectors read via properties
+        #: aggregate counters the obsv collectors read via properties
         self.retries = 0
         self.timeouts_exhausted = 0
         self._opseq = 0
@@ -245,7 +259,7 @@ class RequestEngine:
         the two is provided *and* the config enables it.
         """
         pol = self.policy if policy is _UNSET else policy
-        r = self.rng if rng is _UNSET else rng
+        rng = self.rng if rng is _UNSET else rng
         ep = endpoint or dst
         st = self.stat(ep)
         if pol is None:
@@ -254,79 +268,8 @@ class RequestEngine:
             resp = yield from self.fabric.rpc(self.src, dst, payload, size)
             return resp
         cfg = self.config
-        if not cfg.enabled:
-            resp = yield from self._call_legacy(
-                dst, payload, size, st, pol, r, op_label,
-                retry_kind, exhaust_kind, on_exhausted, exhausted_value,
-            )
-            return resp
-        resp = yield from self._call_adaptive(
-            dst, payload, size, st, pol, r, cfg, ep, op_label,
-            retry_kind, exhaust_kind, on_exhausted, exhausted_value,
-            hedge_to, hedge_gen,
-        )
-        return resp
-
-    # -- legacy loop (bit-identical to the five former call sites) ---------------
-    def _call_legacy(
-        self, dst, payload, size, st, pol, rng, op_label,
-        retry_kind, exhaust_kind, on_exhausted, exhausted_value,
-    ) -> Generator[Event, None, Any]:
-        for attempt in range(1, pol.max_attempts + 1):
-            st.attempts += 1
-            try:
-                resp = yield from call_with_timeout(
-                    self.env,
-                    self.fabric.rpc(self.src, dst, payload, size),
-                    pol.timeout,
-                )
-                return resp
-            except RpcTimeout:
-                if attempt >= pol.max_attempts:
-                    yield from self._exhaust(
-                        dst, op_label, attempt,
-                        exhaust_kind, on_exhausted,
-                    )
-                    return exhausted_value
-                self.retries += 1
-                st.retries += 1
-                if self.plane is not None:
-                    self.plane.record(
-                        retry_kind, self.src, self._retry_label(dst, op_label, attempt)
-                    )
-                yield self.env.timeout(pol.backoff(attempt, rng))
-
-    def _retry_label(self, dst: str, op_label: Optional[str], attempt: int) -> str:
-        if op_label is None:
-            return f"{dst}#{attempt}"
-        return f"{dst}:{op_label}#{attempt}"
-
-    def _exhaust(
-        self, dst, op_label, attempt, exhaust_kind, on_exhausted,
-    ) -> Generator[Event, None, None]:
-        """Apply the site's historical exhaustion contract (no events)."""
-        yield from ()
-        if on_exhausted == "raise-timeout":
-            raise  # re-raise the RpcTimeout being handled  # noqa: PLE0704
-        if on_exhausted == "raise":
-            self.timeouts_exhausted += 1
-            if self.plane is not None and exhaust_kind is not None:
-                self.plane.record(exhaust_kind, self.src, dst)
-            raise RetryBudgetExceeded(
-                f"{self.src}->{dst} {op_label} failed after {attempt} attempts"
-            )
-        # on_exhausted == "return": caller hands back exhausted_value
-        if self.plane is not None and exhaust_kind is not None:
-            self.plane.record(exhaust_kind, self.src, dst)
-
-    # -- adaptive / hedged path ---------------------------------------------------
-    def _call_adaptive(
-        self, dst, payload, size, st, pol, rng, cfg, ep, op_label,
-        retry_kind, exhaust_kind, on_exhausted, exhausted_value,
-        hedge_to, hedge_gen,
-    ) -> Generator[Event, None, Any]:
         hub = self._hub()
-        timeout = self._attempt_timeout(ep, pol, cfg, hub)
+        timeout = self._first_timeout(ep, pol, cfg, hub)
         for attempt in range(1, pol.max_attempts + 1):
             try:
                 outcome = yield from self._race(
@@ -354,7 +297,34 @@ class RequestEngine:
                 yield self.env.timeout(
                     self._backoff(ep, pol, cfg, hub, attempt, rng)
                 )
+                # Retries keep the full policy timeout: the retry window
+                # that rides out an outage must not shrink with the sketch.
+                timeout = pol.timeout
 
+    def _retry_label(self, dst: str, op_label: Optional[str], attempt: int) -> str:
+        if op_label is None:
+            return f"{dst}#{attempt}"
+        return f"{dst}:{op_label}#{attempt}"
+
+    def _exhaust(
+        self, dst, op_label, attempt, exhaust_kind, on_exhausted,
+    ) -> Generator[Event, None, None]:
+        """Apply the site's historical exhaustion contract (no events)."""
+        yield from ()
+        if on_exhausted == "raise-timeout":
+            raise  # re-raise the RpcTimeout being handled  # noqa: PLE0704
+        if on_exhausted == "raise":
+            self.timeouts_exhausted += 1
+            if self.plane is not None and exhaust_kind is not None:
+                self.plane.record(exhaust_kind, self.src, dst)
+            raise RetryBudgetExceeded(
+                f"{self.src}->{dst} {op_label} failed after {attempt} attempts"
+            )
+        # on_exhausted == "return": caller hands back exhausted_value
+        if self.plane is not None and exhaust_kind is not None:
+            self.plane.record(exhaust_kind, self.src, dst)
+
+    # -- the race loop -----------------------------------------------------------
     def _budget_ok(self, st: ReqStats, cfg: RequestConfig) -> bool:
         return st.retries < cfg.budget_min + cfg.budget_ratio * st.attempts
 
@@ -437,6 +407,7 @@ class RequestEngine:
             if deadline in fired:
                 # Attempt deadline: cancel what's still in flight and
                 # report this attempt as timed out.
+                st.timeouts += 1
                 self._cancel_losers(pending, st)
                 raise RpcTimeout(
                     f"rpc attempt exceeded {timeout * 1e6:.0f}us deadline"
@@ -487,13 +458,12 @@ class RequestEngine:
         d = min(max(d, cfg.hedge_floor), cfg.hedge_ceiling)
         return None if d >= timeout else d
 
-    def _attempt_timeout(self, ep, pol, cfg, hub) -> float:
-        """Adaptive attempt deadline: p999-scaled, never looser than the
-        configured policy timeout."""
-        if not cfg.adaptive_retry:
-            return pol.timeout
+    def _first_timeout(self, ep, pol, cfg, hub) -> float:
+        """First-attempt deadline: the endpoint's ``timeout_quantile``
+        times the multiplier, clamped into [hedge floor, policy timeout];
+        the policy timeout until the sketch is warm."""
         name = f"req.{ep}"
-        if self._sketch_count(hub, name) < cfg.hedge_min_obs:
+        if self._sketch_count(hub, name) < cfg.timeout_min_obs:
             return pol.timeout
         t = hub.quantile(name, cfg.timeout_quantile) * cfg.timeout_multiplier
         return min(max(t, cfg.hedge_floor), pol.timeout)

@@ -1,11 +1,7 @@
 """Per-RPC timeouts, exponential backoff with deterministic jitter.
 
-An RPC attempt is raced against a simulated-clock deadline via ``AnyOf``:
-the race keeps a callback registered on the attempt process, so an attempt
-that *loses* the race (or fails after the caller gave up on it) never
-trips the kernel's "failed process with no waiters" abort — its outcome is
-observed, then discarded.  An abandoned attempt stays parked on its reply
-event, which nothing else references once the caller has moved on.
+The policy is data; :class:`~repro.fault.requests.RequestEngine` runs the
+deadline race and the retries.
 
 Backoff jitter is drawn from a caller-supplied :class:`random.Random`
 (always an :meth:`Environment.substream`), keeping retry schedules
@@ -16,15 +12,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Generator, Optional
-
-from ..sim.core import Environment, Event
+from typing import Optional
 
 __all__ = [
     "RpcTimeout",
     "RetryBudgetExceeded",
     "RetryPolicy",
-    "call_with_timeout",
     "retry_policy_from",
 ]
 
@@ -77,19 +70,3 @@ def retry_policy_from(params) -> Optional[RetryPolicy]:
         jitter=params.rpc_backoff_jitter,
     )
 
-
-def call_with_timeout(
-    env: Environment, gen: Generator[Event, None, Any], timeout: float
-) -> Generator[Event, None, Any]:
-    """Run ``gen`` as a process, racing it against ``timeout`` seconds.
-
-    Returns the generator's result if it finishes first; raises
-    :class:`RpcTimeout` if the deadline fires first.  Application-level
-    exceptions raised by ``gen`` propagate unchanged.
-    """
-    attempt = env.process(gen, name="rpc-attempt")
-    deadline = env.timeout(timeout)
-    fired = yield env.any_of((attempt, deadline))
-    if attempt in fired:
-        return fired[attempt]
-    raise RpcTimeout(f"rpc attempt exceeded {timeout * 1e6:.0f}us deadline")

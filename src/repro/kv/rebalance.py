@@ -92,9 +92,10 @@ class Rebalancer:
             backoff_mult=params.rpc_backoff_mult,
             jitter=0.0,  # migration pacing stays seed-independent
         )
-        # Migration chunks go through the shared request engine in its
-        # legacy (non-hedged) mode: the stream is paced and seed-independent,
-        # so hedging/adaptive policies stay off regardless of system config.
+        # Migration chunks go through the shared request engine with no
+        # hedging, no adaptive policy and no sketch hub (so every attempt
+        # waits the fixed timeout): the stream is paced and seed-independent
+        # regardless of system config.
         self._req = RequestEngine(env, fabric, name, self.retry, plane=plane, rng=None)
         self.splits = 0
         self.migrations: list[MigrationRecord] = []

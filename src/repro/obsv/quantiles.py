@@ -3,8 +3,9 @@
 A :class:`QuantileSketch` is a DDSketch-style log-bucket sketch: values land
 in geometrically spaced buckets ``gamma**i`` with ``gamma = (1+a)/(1-a)``,
 which bounds the *relative* error of any reported quantile by ``a`` while
-keeping ``observe()`` O(1) (one ``log``, one dict increment) and the whole
-structure mergeable by bucket-count addition.  Everything is plain integer
+keeping ``observe()`` O(1) (one ``log``, one dict increment; a sorted
+insert only when a new bucket appears) and the whole structure mergeable
+by bucket-count addition.  Everything is plain integer
 arithmetic over deterministic float math — two same-seed runs produce
 bit-identical sketches.
 
@@ -23,6 +24,7 @@ attribute read and a no-op call per choke point — nothing else.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from typing import Callable, Optional
 
 __all__ = ["QuantileSketch", "SketchHub", "NullSketchHub", "NULL_HUB"]
@@ -43,7 +45,7 @@ class QuantileSketch:
 
     __slots__ = (
         "name", "alpha", "gamma", "_log_gamma", "_idx_memo",
-        "buckets", "zero_count", "count", "total", "min", "max",
+        "buckets", "_keys", "zero_count", "count", "total", "min", "max",
     )
 
     #: cap on the per-sketch value -> bucket-index memo (DES latencies are
@@ -59,6 +61,8 @@ class QuantileSketch:
         self._log_gamma = math.log(self.gamma)
         self._idx_memo: dict[float, int] = {}
         self.buckets: dict[int, int] = {}
+        #: ``sorted(buckets)``, kept up to date so reads never sort
+        self._keys: list[int] = []
         self.zero_count = 0
         self.count = 0
         self.total = 0.0
@@ -82,13 +86,20 @@ class QuantileSketch:
             i = math.ceil(math.log(v) / self._log_gamma)
             if len(memo) < self._MEMO_MAX:
                 memo[v] = i
-        self.buckets[i] = self.buckets.get(i, 0) + 1
+        buckets = self.buckets
+        n = buckets.get(i)
+        if n is None:
+            buckets[i] = 1
+            insort(self._keys, i)
+        else:
+            buckets[i] = n + 1
 
     def merge(self, other: "QuantileSketch") -> None:
         if other.gamma != self.gamma:
             raise ValueError("cannot merge sketches with different gamma")
         for i, n in other.buckets.items():
             self.buckets[i] = self.buckets.get(i, 0) + n
+        self._keys = sorted(self.buckets)
         self.zero_count += other.zero_count
         self.count += other.count
         self.total += other.total
@@ -107,8 +118,9 @@ class QuantileSketch:
         if rank < self.zero_count:
             return 0.0
         cum = self.zero_count
-        for i in sorted(self.buckets):
-            cum += self.buckets[i]
+        buckets = self.buckets
+        for i in self._keys:
+            cum += buckets[i]
             if cum > rank:
                 # Midpoint of (gamma**(i-1), gamma**i] in the geometric
                 # sense: 2*gamma**i/(gamma+1) keeps the error within alpha.

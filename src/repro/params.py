@@ -317,8 +317,8 @@ class SystemParams:
     ds_restart_delay: float = 500 * US
 
     # ---- unified request engine: hedging / tied requests / adaptive retry -------
-    # (see DESIGN.md §16).  Both policies default off: the engine then runs
-    # the exact legacy retry loop and the event stream stays bit-identical.
+    # (see DESIGN.md §16).  Hedging and adaptive retry default off.  Every call
+    # with a retry policy (rpc_timeout > 0) runs the engine's one race loop.
     #: hedge a second attempt after a p99-derived per-endpoint delay
     req_hedging: bool = False
     req_hedge_quantile: float = 0.99
@@ -332,13 +332,15 @@ class SystemParams:
     req_hedge_min_obs: int = 16
     #: cancel the losing tied attempt on the wire (fabric cancel message)
     req_tied_cancel: bool = True
-    #: quantile-fed attempt deadlines, backoff pacing and retry budgets
+    #: p50-paced backoff and per-endpoint retry budgets
     req_adaptive_retry: bool = False
     #: retries allowed per endpoint: budget_min + budget_ratio * attempts
     req_budget_ratio: float = 0.1
     req_budget_min: int = 8
-    #: adaptive attempt deadline = quantile * multiplier (capped at rpc_timeout)
-    req_timeout_quantile: float = 0.999
+    #: first-attempt deadline = quantile * multiplier, clamped into
+    #: [req_hedge_floor, rpc_timeout]; used once the endpoint's sketch holds
+    #: ceil(10 / (1 - quantile)) observations, rpc_timeout until then
+    req_timeout_quantile: float = 0.99
     req_timeout_multiplier: float = 3.0
 
     # ---- SLO engine & streaming quantile sketches (see DESIGN.md §15) -------------------

@@ -185,3 +185,25 @@ def test_default_retry_budget_rides_out_flash_gc():
     for snap in first[0].values():
         exhausted = {k: v for k, v in snap.items() if k.endswith("exhausted")}
         assert exhausted and not any(exhausted.values()), exhausted
+
+
+def test_warm_sketch_deadlines_replay_identically():
+    """A p90 deadline warms at 100 observations per endpoint, well inside
+    this run, so sketch-fed first-attempt deadlines are in play: the run
+    still replays event for event, and its schedule differs from the cold
+    default (p99 needs 1000 observations, more than this run makes)."""
+    jobs = [("/kvfs", "randrw", 5, 10), ("/dfs", "randrw", 5, 60)]
+    warm = {**EVERYTHING_ON, "req_timeout_quantile": 0.9}
+    cluster, first = _everything_on_run(warm, jobs)
+    assert first == _everything_on_run(warm, jobs)[1]
+    hubs = [node.sketches for node in cluster.nodes]
+    assert any(
+        hub.sketch(name).count >= 100
+        for hub in hubs for name in hub.names() if name.startswith("req.")
+    )
+    timeouts = sum(
+        v for snap in first[0].values() for k, v in snap.items()
+        if k.startswith("req.") and k.endswith(".timeouts")
+    )
+    assert timeouts > 0
+    assert first != _everything_on_run(EVERYTHING_ON, jobs)[1]

@@ -229,8 +229,8 @@ def test_hedged_run_replays_bit_identically():
 
 
 def test_hedging_off_needs_no_sketches():
-    # Defaults-off engines never touch the hub: a plain run with no
-    # sketches configured routes through the legacy loop untouched.
+    # A plain run with no sketches configured: the race loop waits the
+    # fixed deadline and never hedges or cancels.
     p = default_params().with_overrides(rpc_timeout=500e-6)
     env = Environment(seed=p.seed)
     plane = FaultPlane(env)

@@ -9,8 +9,6 @@ from repro.fault import (
     FaultPlane,
     IdempotencyFilter,
     RetryPolicy,
-    RpcTimeout,
-    call_with_timeout,
     retry_policy_from,
 )
 from repro.dfs.mds import DFS_ROOT_INO
@@ -70,22 +68,6 @@ def test_retry_policy_from_gates_on_timeout():
     assert pol is not None
     assert pol.timeout == pytest.approx(300e-6)
     assert pol.max_attempts == p.rpc_retry_max
-
-
-def test_call_with_timeout_races_the_deadline():
-    env = Environment(seed=1)
-
-    def slow():
-        yield env.timeout(100e-6)
-        return "done"
-
-    def scenario():
-        value = yield from call_with_timeout(env, slow(), 200e-6)
-        assert value == "done"
-        with pytest.raises(RpcTimeout):
-            yield from call_with_timeout(env, slow(), 50e-6)
-
-    env.run(until=env.process(scenario()))
 
 
 def test_idempotency_filter_ttl_expires_old_tokens():

@@ -10,6 +10,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.obsv.metrics import Log2Histogram, Registry
 from repro.obsv.quantiles import (
@@ -113,6 +114,52 @@ def test_sketch_index_memo_does_not_change_results():
     assert len(tiny._idx_memo) <= TinyMemo._MEMO_MAX
     for q in QS:
         assert plain.quantile(q) == tiny.quantile(q)
+
+
+def _sorting_quantile(sk, q):
+    """The sketch's quantile as it was first written: sort every bucket
+    key on each read."""
+    if sk.count == 0:
+        return 0.0
+    rank = int(q * (sk.count - 1))
+    if rank < sk.zero_count:
+        return 0.0
+    cum = sk.zero_count
+    for i in sorted(sk.buckets):
+        cum += sk.buckets[i]
+        if cum > rank:
+            return 2.0 * sk.gamma ** i / (sk.gamma + 1.0)
+    return sk.max
+
+
+_latency = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=1e-9, max_value=10.0, allow_nan=False),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(_latency, max_size=300),
+    st.lists(_latency, max_size=100),
+    st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=8),
+)
+def test_sketch_sorted_keys_match_sorting_reference(stream, other, qs):
+    sk = QuantileSketch("h")
+    for v in stream:
+        sk.observe(v)
+    for q in qs:
+        assert sk.quantile(q) == _sorting_quantile(sk, q)
+    # a merge, then more observations, keep the key list in step
+    extra = QuantileSketch("o")
+    for v in other:
+        extra.observe(v)
+    sk.merge(extra)
+    for v in other:
+        sk.observe(v)
+    assert sk._keys == sorted(sk.buckets)
+    for q in (*qs, *QS):
+        assert sk.quantile(q) == _sorting_quantile(sk, q)
 
 
 def test_sketch_snapshot_labels():
