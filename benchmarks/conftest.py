@@ -15,6 +15,7 @@ import json
 
 import pytest
 
+from repro.experiments import sweep
 from repro.experiments.bench import RESULTS_DIR, write_envelope
 
 
@@ -27,6 +28,19 @@ def run_once(benchmark, fn, *args, **kwargs):
 def once(benchmark):
     def _run(fn, *args, **kwargs):
         return run_once(benchmark, fn, *args, **kwargs)
+
+    return _run
+
+
+@pytest.fixture
+def swept(once):
+    """Run a declared sweep once, print its table, return its points by label."""
+
+    def _run(s):
+        points = once(sweep.run, s)
+        print()
+        print(sweep.table(s, points).render())
+        return {p["label"]: p for p in points}
 
     return _run
 

@@ -1,47 +1,37 @@
 """Bench: ablations of DPC's design choices (not in the paper's eval)."""
 
-from repro.experiments import ablations
+from repro.experiments.ablations import DELEGATIONS, EC_GEOMETRY, PLACEMENT, QUEUES
 
 
-def test_ablation_queue_count(once):
-    table = once(ablations.queue_count)
-    print()
-    print(table.render())
-    d = {(r[0], r[1]): r[2] for r in table.rows}
+def test_ablation_queue_count(swept):
+    iops = {label: p["iops"] for label, p in swept(QUEUES).items()}
     # A single depth-1 queue serialises everything; queue depth alone buys
     # an order of magnitude, multi-queue adds headroom on top.
-    assert d[(1, 128)] > 5 * d[(1, 1)]
-    assert d[(32, 128)] >= d[(1, 128)] * 0.95
+    assert iops["queues/q1-d128"] > 5 * iops["queues/q1-d1"]
+    assert iops["queues/q32-d128"] >= iops["queues/q1-d128"] * 0.95
 
 
-def test_ablation_cache_placement(once):
-    table = once(ablations.cache_placement)
-    print()
-    print(table.render())
-    d = {r[0]: (r[1], r[2], r[3]) for r in table.rows}
-    hybrid, dpu = d["hybrid (host)"], d["DPU-resident"]
+def test_ablation_cache_placement(swept):
+    d = swept(PLACEMENT)
+    hybrid, dpu = d["placement/hybrid"], d["placement/dpu"]
     # A hybrid hit is several times faster and moves no PCIe payload.
-    assert hybrid[0] < dpu[0] / 2
-    assert hybrid[1] == 0 and hybrid[2] == 0
-    assert dpu[2] > 8192  # the 8K payload crosses PCIe every hit
+    assert hybrid["hit_lat_us"] < dpu["hit_lat_us"] / 2
+    assert hybrid["pcie_dmas_per_hit"] == 0 and hybrid["pcie_bytes_per_hit"] == 0
+    assert dpu["pcie_bytes_per_hit"] > 8192  # the 8K payload crosses PCIe every hit
 
 
-def test_ablation_delegations(once):
-    table = once(ablations.delegations)
-    print()
-    print(table.render())
-    d = {r[0]: (r[1], r[2]) for r in table.rows}
+def test_ablation_delegations(swept):
+    d = swept(DELEGATIONS)
+    on, off = d["delegations/on"], d["delegations/off"]
     # Delegated creates are faster and touch the MDS far less.
-    assert d["on"][0] > 1.5 * d["off"][0]
-    assert d["on"][1] < d["off"][1] / 2
+    assert on["creates_per_sec"] > 1.5 * off["creates_per_sec"]
+    assert on["mds_ops"] < off["mds_ops"] / 2
 
 
-def test_ablation_ec_geometry(once):
-    table = once(ablations.ec_geometry)
-    print()
-    print(table.render())
-    overheads = table.column("storage_overhead")
+def test_ablation_ec_geometry(swept):
+    d = swept(EC_GEOMETRY)
+    overheads = [p["storage_overhead"] for p in d.values()]
     # Wider geometries trade storage overhead for... storage overhead.
     assert overheads[0] > overheads[1] > overheads[2]
     # All geometries sustain six-figure random-write IOPS on this backend.
-    assert all(v > 5e4 for v in table.column("iops"))
+    assert all(p["iops"] > 5e4 for p in d.values())

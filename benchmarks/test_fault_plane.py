@@ -1,13 +1,11 @@
 """Bench: fault ablation — availability and tail latency under failures."""
 
-from repro.experiments import fault_ablation
+from repro.experiments import sweep
+from repro.experiments.fault_ablation import SWEEP
 
 
-def test_fault_ablation(once, bench_json):
-    table = once(fault_ablation.run, ops_per_thread=25)
-    print()
-    print(table.render())
-    d = {r[0]: dict(zip(table.columns[1:], r[1:])) for r in table.rows}
+def test_fault_ablation(swept, bench_json):
+    d = swept(SWEEP)
 
     # Healthy baseline: every read succeeds, nothing degrades or retries.
     assert d["healthy"]["availability"] == 1.0
@@ -30,6 +28,5 @@ def test_fault_ablation(once, bench_json):
     assert d["full"]["p99_us"] > d["degraded"]["p99_us"]
     assert d["full"]["goodput_iops"] < d["healthy"]["goodput_iops"]
 
-    for variant, row in d.items():
-        for metric in ("availability", "p99_us", "goodput_iops", "retries"):
-            bench_json("fault", f"{variant}/{metric}", row[metric])
+    for metric, value in sweep.metrics(SWEEP, list(d.values())).items():
+        bench_json("fault", metric, value)

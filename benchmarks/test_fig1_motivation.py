@@ -1,16 +1,13 @@
 """Bench: Figure 1 — the motivation: optimized fs-client IOPS vs CPU tax."""
 
-from repro.experiments import fig1_motivation
+from repro.experiments.fig1_motivation import MODES, SWEEP
 
 
-def test_fig1_motivation(once):
-    table = once(fig1_motivation.run, ops_per_thread=20)
-    print()
-    print(table.render())
-    rows = {(r[0], r[1]): {"iops": r[2], "cores": r[3]} for r in table.rows}
-    for mode in ("randread", "randwrite", "randrw"):
-        std = rows[(mode, "standard")]
-        opt = rows[(mode, "optimized")]
+def test_fig1_motivation(swept):
+    d = swept(SWEEP)
+    for mode in MODES:
+        std = d[f"{mode}/std"]
+        opt = d[f"{mode}/opt"]
         # ~4x IOPS improvement (paper: "more than 4 times").
         assert opt["iops"] / std["iops"] > 3.0
         # Several-fold more CPU cores (paper: 4-6x in Fig.1, 6-15x in §4.3).

@@ -1,27 +1,21 @@
 """Bench: Figure 8 — hybrid-cache contribution to random/sequential IOPS."""
 
-from repro.experiments import fig8_cache
+from repro.experiments.fig8_cache import PREFETCH, WRITES
 
 
-def test_fig8_random_writes(once):
-    table = once(fig8_cache.random_write_panel, ops_per_thread=25)
-    print()
-    print(table.render())
-    d = {(r[0], r[1]): r[3] for r in table.rows}
+def test_fig8_random_writes(swept):
+    d = {label: p["iops"] for label, p in swept(WRITES).items()}
     # Both caches lift random-write IOPS well above the direct path.
-    assert d[("ext4", "buffered")] / d[("ext4", "direct")] > 1.5
-    assert d[("kvfs", "buffered")] / d[("kvfs", "direct")] > 2.0
+    assert d["write/ext4/buffered"] / d["write/ext4/direct"] > 1.5
+    assert d["write/kvfs/buffered"] / d["write/kvfs/direct"] > 2.0
 
 
-def test_fig8_sequential_read_prefetch(once):
-    table = once(fig8_cache.seq_read_prefetch_panel, ops_per_thread=120)
-    print()
-    print(table.render())
-    d = {(r[0], r[1]): (r[2], r[3]) for r in table.rows}
+def test_fig8_sequential_read_prefetch(swept):
+    boost = PREFETCH.derived(list(swept(PREFETCH).values()))
     # Single-thread: the DPU prefetcher delivers an order-of-magnitude-plus
     # boost (paper: ~100x; simulator: tens of x — see EXPERIMENTS.md).
-    assert d[(1, "prefetch")][1] > 15
+    assert boost["read/t1/boost"] > 15
     # 32 threads: a modest boost remains (paper: ~3x).
-    assert d[(32, "prefetch")][1] > 1.3
+    assert boost["read/t32/boost"] > 1.3
     # The single-thread boost dwarfs the 32-thread one.
-    assert d[(1, "prefetch")][1] > 4 * d[(32, "prefetch")][1]
+    assert boost["read/t1/boost"] > 4 * boost["read/t32/boost"]

@@ -1,27 +1,26 @@
 """Bench: Table 2 — sequential bandwidth, local Ext4 vs KVFS."""
 
-from repro.experiments import table2_bandwidth
+from repro.experiments.table2_bandwidth import RWS, SWEEP, THREADS
 
 
-def test_table2_bandwidth(once):
-    table = once(table2_bandwidth.run)
-    print()
-    print(table.render())
-    d = {(r[0], r[1]): (r[2], r[3]) for r in table.rows}
+def test_table2_bandwidth(swept):
+    d = {label: p["GBs"] for label, p in swept(SWEEP).items()}
 
     # KVFS outperforms Ext4 in every cell (the paper's claim).
-    for key, (ext4, kvfs) in d.items():
-        assert kvfs > ext4, f"KVFS must beat Ext4 for {key}"
+    for n in THREADS:
+        for rw in RWS:
+            key = f"{rw}/t{n}"
+            assert d[f"kvfs/{key}"] > d[f"ext4/{key}"], f"KVFS must beat Ext4 for {key}"
 
     # Ext4 is capped by the single SSD (~3.2 GB/s).
-    assert d[(32, "1MB seq. read")][0] < 3.4
-    assert d[(32, "1MB seq. write")][0] < 3.4
+    assert d["ext4/read/t32"] < 3.4
+    assert d["ext4/write/t32"] < 3.4
 
     # KVFS at 32 threads approaches the disaggregated store's limits
     # (paper: 7.6 read / 5.0 write GB/s).
-    assert d[(32, "1MB seq. read")][1] > 6.0
-    assert d[(32, "1MB seq. write")][1] > 4.0
+    assert d["kvfs/read/t32"] > 6.0
+    assert d["kvfs/write/t32"] > 4.0
 
     # Scaling from 1 to 32 threads helps both systems.
-    assert d[(32, "1MB seq. read")][1] > d[(1, "1MB seq. read")][1]
-    assert d[(32, "1MB seq. read")][0] > d[(1, "1MB seq. read")][0]
+    assert d["kvfs/read/t32"] > d["kvfs/read/t1"]
+    assert d["ext4/read/t32"] > d["ext4/read/t1"]

@@ -9,7 +9,7 @@ latency / IOPS / bandwidth comparison of Figure 6.
 Run:  python examples/raw_transport.py
 """
 
-from repro.experiments import fig2_dma, fig6_raw
+from repro.experiments import fig2_dma, fig6_raw, sweep
 from repro.metrics.stats import fmt_iops
 
 
@@ -24,18 +24,18 @@ def main() -> None:
 
     print("Round trip & IOPS (8 KiB):")
     for kind in ("virtio-fs", "nvme-fs"):
-        one = fig6_raw._sweep_one(kind, "write", 8192, 1, 40, None)
-        many = fig6_raw._sweep_one(kind, "write", 8192, 32, 30, None)
+        one = fig6_raw.run_one(kind, "write", 8192, 1, 40)
+        many = fig6_raw.run_one(kind, "write", 8192, 32, 30)
         print(
-            f"  {kind:>9}: 1 thread {one[1] * 1e6:5.1f}us,  "
-            f"32 threads {fmt_iops(many[0]):>8} IOPS ({many[1] * 1e6:5.1f}us)"
+            f"  {kind:>9}: 1 thread {one['lat_us']:5.1f}us,  "
+            f"32 threads {fmt_iops(many['iops']):>8} IOPS ({many['lat_us']:5.1f}us)"
         )
     print()
 
     print("1 MiB sequential bandwidth, 16 threads:")
-    table = fig6_raw.run_bandwidth(ops_per_thread=8)
-    for transport, rw, gbs in table.rows:
-        print(f"  {transport:>9} {rw:5}: {gbs:5.2f} GB/s")
+    for p in sweep.run(fig6_raw.BANDWIDTH):
+        transport, rw = p["label"].split("/")[:2]
+        print(f"  {transport:>9} {rw:5}: {p['GBs']:5.2f} GB/s")
     print("\n(PCIe 3.0 x16 ceiling is ~15.75 GB/s — nvme-fs saturates it;")
     print(" virtio-fs is stuck behind its single queue and page-grained DMA)")
 

@@ -1,15 +1,40 @@
-"""Shared helpers for the per-figure experiment modules."""
+"""Shared helpers for the experiment modules: the closed-loop thread
+driver and the two prefill loops the figures stage their files with."""
 
 from __future__ import annotations
 
 from typing import Callable, Generator, Optional
 
+from ..dfs.mds import DFS_ROOT_INO
+from ..host.adapters import O_DIRECT
+from ..host.vfs import O_CREAT
 from ..obsv.quantiles import NULL_HUB
 from ..obsv.tracer import NULL_TRACER
 from ..sim.core import Environment
 from ..sim.cpu import CpuPool
 
-__all__ = ["measure_threads", "ThreadsResult"]
+__all__ = ["measure_threads", "ThreadsResult", "prefill_file", "prefill_dfs_file"]
+
+
+def prefill_file(vfs, path: str, size: int, fill: bytes, chunk: int = 1 << 20):
+    """Open ``path`` ``O_CREAT|O_DIRECT`` and write ``size`` bytes of
+    ``fill`` in ``chunk``-sized writes; returns the handle."""
+    f = yield from vfs.open(path, O_CREAT | O_DIRECT)
+    blob = fill * chunk
+    for off in range(0, size, chunk):
+        yield from vfs.write(f, off, blob)
+    return f
+
+
+def prefill_dfs_file(client, name: bytes, size: int, chunk: int = 1 << 20):
+    """Create ``name`` under the DFS root through ``client``, write ``size``
+    bytes in ``chunk``-sized writes and flush metadata; returns the inode."""
+    attr = yield from client.create(DFS_ROOT_INO, name)
+    blob = b"\x11" * chunk
+    for off in range(0, size, chunk):
+        yield from client.write(attr.ino, off, blob)
+    yield from client.flush_metadata()
+    return attr.ino
 
 
 class ThreadsResult:

@@ -19,6 +19,10 @@ the DFS read path when a data server is lost mid-workload:
 
 Every failure and recovery action is a costed simulated-clock event, and
 the whole schedule replays bit-identically from ``params.seed``.
+
+Declared as a :class:`~repro.experiments.sweep.Sweep`::
+
+    python -m repro.experiments fault
 """
 
 from __future__ import annotations
@@ -28,13 +32,14 @@ from typing import Optional
 from ..core.testbeds import build_host_dfs_clients
 from ..dfs.mds import DFS_ROOT_INO
 from ..fault import ChannelFaults
-from ..metrics.stats import LatencyRecorder, ResultTable
+from ..metrics.stats import LatencyRecorder
 from ..obsv.quantiles import NULL_HUB
 from ..obsv.tracer import NULL_TRACER
 from ..params import SystemParams, default_params
 from ..workload.runner import IO_ERRORS
+from .sweep import Column, Sweep
 
-__all__ = ["run", "VARIANTS", "_run_variant"]
+__all__ = ["run_variant", "VARIANTS", "SWEEP"]
 
 VARIANTS = ("healthy", "no-recovery", "degraded", "full")
 
@@ -43,13 +48,15 @@ NSTRIPES = 24
 BLOCK = 8192
 
 
-def _run_variant(
+def run_variant(
     variant: str,
-    params: Optional[SystemParams],
-    nthreads: int,
-    ops_per_thread: int,
+    params: Optional[SystemParams] = None,
+    nthreads: int = 8,
+    ops_per_thread: int = 25,
     on_testbed=None,
-) -> tuple:
+) -> dict:
+    """One fault schedule: 8K random reads, the victim lost a third of the
+    way in; returns availability, latency and recovery counters."""
     p = params or default_params()
     if variant == "full":
         # Deadline + retry budget only for the variant that needs them:
@@ -133,42 +140,35 @@ def _run_variant(
     summary = lat.summary()
     snap = tb.registry.snapshot()
     retries = snap.get("dfs.opt.retries", 0) + snap.get("dfs.opt.stripe.retries", 0)
-    return (
-        variant,
-        ok / total,
-        summary["p50"] * 1e6,
-        summary["p99"] * 1e6,
-        ok / elapsed if elapsed > 0 else 0.0,
-        retries,
-        snap.get("dfs.opt.stripe.degraded_stripes", 0),
-        errors[0],
-    )
+    return {
+        "label": variant,
+        "availability": ok / total,
+        "p50_us": summary["p50"] * 1e6,
+        "p99_us": summary["p99"] * 1e6,
+        "goodput_iops": ok / elapsed if elapsed > 0 else 0.0,
+        "retries": retries,
+        "degraded_stripes": snap.get("dfs.opt.stripe.degraded_stripes", 0),
+        "errors": errors[0],
+    }
 
 
-def run(
-    params: Optional[SystemParams] = None,
-    nthreads: int = 8,
-    ops_per_thread: int = 25,
-    variants=VARIANTS,
-) -> ResultTable:
-    """Availability / tail-latency table across the recovery ablation."""
-    table = ResultTable(
-        "Fault ablation: 8K random DFS reads, one data server lost mid-run",
-        [
-            "variant",
-            "availability",
-            "p50_us",
-            "p99_us",
-            "goodput_iops",
-            "retries",
-            "degraded_stripes",
-            "errors",
-        ],
-    )
-    for variant in variants:
-        table.add_row(*_run_variant(variant, params, nthreads, ops_per_thread))
-    table.note(
+SWEEP = Sweep(
+    name="fault",
+    title="Fault ablation: 8K random DFS reads, one data server lost mid-run",
+    point=run_variant,
+    points=tuple({"variant": v} for v in VARIANTS),
+    columns=(
+        Column("label", "variant", written=False),
+        Column("availability", "availability"),
+        Column("p50_us", "p50_us", written=False),
+        Column("p99_us", "p99_us"),
+        Column("goodput_iops", "goodput_iops"),
+        Column("retries", "retries"),
+        Column("degraded_stripes", "degraded_stripes", written=False),
+        Column("errors", "errors", written=False),
+    ),
+    notes=(
         "availability = successful bit-exact reads / issued reads; "
-        "goodput counts successes only"
-    )
-    return table
+        "goodput counts successes only",
+    ),
+)

@@ -4,44 +4,38 @@
 EC-protected big file.  The paper's point: client-side optimizations (EC,
 direct I/O, forwarding avoidance, delegations) buy ~4x IOPS but cost 4-6x
 the CPU cores — the "datacenter tax" DPC exists to eliminate.
+
+Declared as a :class:`~repro.experiments.sweep.Sweep`::
+
+    python -m repro.experiments fig1
 """
 
 from __future__ import annotations
 
-import random
 from typing import Optional
 
 from ..core.testbeds import build_host_dfs_clients
-from ..dfs.mds import DFS_ROOT_INO
-from ..metrics.stats import ResultTable
 from ..params import SystemParams
-from .common import measure_threads
+from .common import measure_threads, prefill_dfs_file
+from .sweep import Column, Sweep
 
-__all__ = ["run", "run_one"]
+__all__ = ["run_one", "SWEEP"]
 
 BLOCK = 8192
 FILE_SIZE = 8 * 1024 * 1024
+MODES = ("randread", "randwrite", "randrw")
 
 
 def run_one(
     client_kind: str,
     mode: str,
     nthreads: int = 32,
-    ops_per_thread: int = 25,
+    ops_per_thread: int = 20,
     params: Optional[SystemParams] = None,
 ) -> dict:
     tb = build_host_dfs_clients(params)
     client = tb.std_client if client_kind == "std" else tb.opt_client
-
-    def prep():
-        attr = yield from tb.opt_client.create(DFS_ROOT_INO, b"bigfile")
-        blob = b"\x11" * (1 << 20)
-        for off in range(0, FILE_SIZE, 1 << 20):
-            yield from tb.opt_client.write(attr.ino, 0 + off, blob)
-        yield from tb.opt_client.flush_metadata()
-        return attr.ino
-
-    ino = tb.run_until(prep())
+    ino = tb.run_until(prefill_dfs_file(tb.opt_client, b"bigfile", FILE_SIZE))
     block = b"\x5a" * BLOCK
 
     def op(tid, j):
@@ -56,30 +50,34 @@ def run_one(
             yield from client.write(ino, off, block)
 
     res = measure_threads(tb.env, nthreads, ops_per_thread, op, host_cpu=tb.host_cpu)
-    return {"iops": res.iops, "cores": tb.host_cpu.window_cores_used()}
+    return {
+        "label": f"{mode}/{client_kind}",
+        "iops": res.iops,
+        "cores": tb.host_cpu.window_cores_used(),
+    }
 
 
-def run(
-    params: Optional[SystemParams] = None,
-    nthreads: int = 32,
-    ops_per_thread: int = 25,
-    scaled: bool = True,
-) -> ResultTable:
-    table = ResultTable(
-        "Figure 1: standard vs optimized NFS client (8K, 32 threads)",
-        ["workload", "client", "iops", "cpu_cores", "iops_ratio", "cpu_ratio"],
-    )
-    for mode in ("randread", "randwrite", "randrw"):
-        std = run_one("std", mode, nthreads, ops_per_thread, params)
-        opt = run_one("opt", mode, nthreads, ops_per_thread, params)
-        table.add_row(mode, "standard", std["iops"], std["cores"], 1.0, 1.0)
-        table.add_row(
-            mode,
-            "optimized",
-            opt["iops"],
-            opt["cores"],
-            opt["iops"] / std["iops"],
-            opt["cores"] / max(std["cores"], 1e-9),
-        )
-    table.note("paper: ~4x IOPS for ~4-6x CPU cores (mix = 70% read / 30% write)")
-    return table
+def _ratios(points: list[dict]) -> dict:
+    """Optimized over standard, per workload."""
+    by = {p["label"]: p for p in points}
+    out = {}
+    for mode in MODES:
+        std, opt = by[f"{mode}/std"], by[f"{mode}/opt"]
+        out[f"{mode}/iops_ratio"] = opt["iops"] / std["iops"]
+        out[f"{mode}/cpu_ratio"] = opt["cores"] / max(std["cores"], 1e-9)
+    return out
+
+
+SWEEP = Sweep(
+    name="fig1",
+    title="Figure 1: standard vs optimized NFS client (8K, 32 threads)",
+    point=run_one,
+    points=tuple({"client_kind": k, "mode": m} for m in MODES for k in ("std", "opt")),
+    columns=(
+        Column("label", "point", written=False),
+        Column("iops", "iops", 1),
+        Column("cores", "cpu_cores", 3),
+    ),
+    derived=_ratios,
+    notes=("paper: ~4x IOPS for ~4-6x CPU cores (mix = 70% read / 30% write)",),
+)

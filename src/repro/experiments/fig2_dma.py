@@ -9,18 +9,22 @@ This experiment executes single operations through the *real* ring walks and
 counts the PCIe transactions each one generated — including the control
 TLPs (doorbell MMIOs and completion interrupts) that do not count as DMAs
 but do occupy the link: an isolated nvme-fs op costs exactly one of each.
+
+Declared as a :class:`~repro.experiments.sweep.Sweep`::
+
+    python -m repro.experiments fig2
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from ..core.testbeds import build_raw_transport
-from ..metrics.stats import ResultTable
 from ..obsv.metrics import Registry
 from ..params import SystemParams
+from .sweep import Column, Sweep
 
-__all__ = ["count_dmas", "run"]
+__all__ = ["count_dmas", "SWEEP"]
 
 _TAG_PREFIX = "pcie.by_tag."
 
@@ -46,6 +50,7 @@ def count_dmas(
             yield from rig.adapter.write(1, 0, block, 0)
         d = Registry.delta(rig.registry.snapshot(), snap)
         return {
+            "label": f"{kind}/{rw}/{size}",
             "ops": d["pcie.ops"],
             "by_tag": {
                 k[len(_TAG_PREFIX):]: v
@@ -60,23 +65,24 @@ def count_dmas(
     return rig.run_until(flow())
 
 
-def run(
-    params: Optional[SystemParams] = None,
-    sizes: Sequence[int] = (4096, 8192, 65536),
-    scaled: bool = True,
-) -> ResultTable:
-    table = ResultTable(
-        "Figure 2(b)/Figure 4: DMA operations per request",
-        ["transport", "rw", "size", "dma_ops", "doorbells", "interrupts"],
-    )
-    for kind in ("virtio-fs", "nvme-fs"):
-        for rw in ("write", "read"):
-            for size in sizes:
-                counts = count_dmas(kind, rw, size, params)
-                table.add_row(
-                    kind, rw, size,
-                    counts["ops"], counts["doorbells"], counts["interrupts"],
-                )
-    table.note("paper: 8KB write = 11 DMAs (virtio-fs) vs 4 DMAs (nvme-fs)")
-    table.note("isolated nvme-fs op: 1 doorbell + 1 interrupt (no coalescing delay)")
-    return table
+SWEEP = Sweep(
+    name="fig2",
+    title="Figure 2(b)/Figure 4: DMA operations per request",
+    point=count_dmas,
+    points=tuple(
+        {"kind": kind, "rw": rw, "size": size}
+        for kind in ("virtio-fs", "nvme-fs")
+        for rw in ("write", "read")
+        for size in (4096, 8192, 65536)
+    ),
+    columns=(
+        Column("label", "op", written=False),
+        Column("ops", "dma_ops"),
+        Column("doorbells", "doorbells"),
+        Column("interrupts", "interrupts"),
+    ),
+    notes=(
+        "paper: 8KB write = 11 DMAs (virtio-fs) vs 4 DMAs (nvme-fs)",
+        "isolated nvme-fs op: 1 doorbell + 1 interrupt (no coalescing delay)",
+    ),
+)

@@ -10,30 +10,36 @@ Paper claims checked by the bench:
 * nvme-fs ~2-3x virtio-fs IOPS at high concurrency (single-queue HAL);
 * nvme-fs approaches the PCIe 3.0 x16 ceiling on 1 MiB transfers
   (paper: 15.1/14.3 GB/s read/write) while virtio-fs stalls near 5-6 GB/s.
+
+Declared as two :class:`~repro.experiments.sweep.Sweep` s sharing one
+name, hence one ``results/BENCH_fig6.json``::
+
+    python -m repro.experiments fig6
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from ..core.testbeds import build_raw_transport
-from ..metrics.stats import ResultTable
 from ..params import SystemParams
 from .common import measure_threads
+from .sweep import Column, Sweep
 
-__all__ = ["run_iops_latency", "run_bandwidth", "run"]
+__all__ = ["run_one", "IOPS", "BANDWIDTH"]
 
-DEFAULT_THREADS = (1, 2, 4, 8, 16, 32, 64)
+TRANSPORTS = ("virtio-fs", "nvme-fs")
 
 
-def _sweep_one(
+def run_one(
     kind: str,
     rw: str,
     size: int,
     nthreads: int,
     ops_per_thread: int,
-    params: Optional[SystemParams],
-) -> tuple[float, float]:
+    params: Optional[SystemParams] = None,
+) -> dict:
+    """``nthreads`` closed-loop threads of ``size``-byte ops on one transport."""
     rig = build_raw_transport(kind, params=params)
     block = b"\x5a" * size
 
@@ -53,54 +59,45 @@ def _sweep_one(
             yield from rig.adapter.write(tid, j * size, block, 0)
 
     res = measure_threads(rig.env, nthreads, ops_per_thread, op)
-    return res.iops, res.mean_lat
+    return {
+        "label": f"{kind}/{rw}/{size}/t{nthreads}",
+        "iops": res.iops,
+        "lat_us": res.mean_lat * 1e6,
+        "GBs": res.iops * size / 1e9,
+    }
 
 
-def run_iops_latency(
-    params: Optional[SystemParams] = None,
-    thread_counts: Sequence[int] = DEFAULT_THREADS,
-    sizes: Sequence[int] = (4096, 8192),
-    ops_per_thread: int = 40,
-) -> ResultTable:
-    """The four IOPS/latency panels of Figure 6."""
-    table = ResultTable(
-        "Figure 6: raw host-DPU transmission (virtio-fs vs nvme-fs)",
-        ["transport", "rw", "size", "threads", "iops", "lat_us"],
-    )
-    for kind in ("virtio-fs", "nvme-fs"):
-        for rw in ("read", "write"):
-            for size in sizes:
-                for n in thread_counts:
-                    iops, lat = _sweep_one(kind, rw, size, n, ops_per_thread, params)
-                    table.add_row(kind, rw, size, n, iops, lat * 1e6)
-    table.note("virtual client answers from DPU memory (paper §4.1)")
-    return table
+IOPS = Sweep(
+    name="fig6",
+    title="Figure 6: raw host-DPU transmission (virtio-fs vs nvme-fs)",
+    point=run_one,
+    points=tuple(
+        {"kind": kind, "rw": rw, "size": size, "nthreads": n, "ops_per_thread": 25}
+        for kind in TRANSPORTS
+        for rw in ("read", "write")
+        for size in (4096, 8192)
+        for n in (1, 4, 16, 32, 64)
+    ),
+    columns=(
+        Column("label", "point", written=False),
+        Column("iops", "iops", 1),
+        Column("lat_us", "lat_us", 2),
+    ),
+    notes=("virtual client answers from DPU memory (paper §4.1)",),
+)
 
-
-def run_bandwidth(
-    params: Optional[SystemParams] = None,
-    nthreads: int = 16,
-    ops_per_thread: int = 12,
-) -> ResultTable:
-    """1 MiB sequential bandwidth under 16 threads."""
-    table = ResultTable(
-        "Figure 6 (bandwidth): 1MB sequential, 16 threads",
-        ["transport", "rw", "GB/s"],
-    )
-    size = 1 << 20
-    for kind in ("virtio-fs", "nvme-fs"):
-        for rw in ("write", "read"):
-            iops, _ = _sweep_one(kind, rw, size, nthreads, ops_per_thread, params)
-            table.add_row(kind, rw, iops * size / 1e9)
-    table.note("PCIe 3.0 x16 ceiling ~= 15.75 GB/s")
-    return table
-
-
-def run(params: Optional[SystemParams] = None, scaled: bool = True):
-    """Regenerate Figure 6 (both panels).  ``scaled`` trims the sweep."""
-    threads = (1, 4, 16, 32, 64) if scaled else DEFAULT_THREADS
-    ops = 25 if scaled else 60
-    return [
-        run_iops_latency(params, thread_counts=threads, ops_per_thread=ops),
-        run_bandwidth(params, ops_per_thread=8 if scaled else 16),
-    ]
+BANDWIDTH = Sweep(
+    name="fig6",
+    title="Figure 6 (bandwidth): 1MB sequential, 16 threads",
+    point=run_one,
+    points=tuple(
+        {"kind": kind, "rw": rw, "size": 1 << 20, "nthreads": 16, "ops_per_thread": 8}
+        for kind in TRANSPORTS
+        for rw in ("write", "read")
+    ),
+    columns=(
+        Column("label", "point", written=False),
+        Column("GBs", "GB/s", 3),
+    ),
+    notes=("PCIe 3.0 x16 ceiling ~= 15.75 GB/s",),
+)

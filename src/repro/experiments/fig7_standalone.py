@@ -10,23 +10,23 @@ Paper claims checked by the bench:
   NVMe SSD's limit and queues: 779/1009 us at 256 threads);
 * KVFS host CPU stays below ~20 % while Ext4 exceeds 90 % at 256 threads;
 * KVFS IOPS stops scaling around 128 threads (the DPU CPU saturates).
+
+Declared as a :class:`~repro.experiments.sweep.Sweep`::
+
+    python -m repro.experiments fig7
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from ..core.testbeds import build_dpc_system, build_ext4_system
-from ..host.adapters import O_DIRECT
-from ..host.vfs import O_CREAT
-from ..metrics.stats import ResultTable
-from ..params import SystemParams, default_params
-from .common import measure_threads
+from ..params import SystemParams
+from .common import measure_threads, prefill_file
+from .sweep import Column, Sweep
 
-__all__ = ["run", "run_one", "run_devices", "DEFAULT_THREADS", "DEFAULT_DEVICES"]
+__all__ = ["run_one", "SWEEP"]
 
-DEFAULT_THREADS = (1, 8, 32, 64, 128, 256)
-DEFAULT_DEVICES = (1, 2, 4)
 FILE_SIZE = 16 * 1024 * 1024
 BLOCK = 8192
 
@@ -41,19 +41,10 @@ def run_one(
     fs: str,
     rw: str,
     nthreads: int,
-    ops_per_thread: int = 30,
+    ops_per_thread: int = 25,
     params: Optional[SystemParams] = None,
-    n_devices: int = 1,
 ) -> dict:
-    """One cell of Figure 7: returns iops/lat/host CPU/dpu CPU.
-
-    ``n_devices`` stripes the ext4 baseline's local data plane across that
-    many NVMe SSDs (1 = the paper's single-device testbed).
-    """
-    if n_devices != 1:
-        params = (params or default_params()).with_overrides(
-            nvme_devices_per_node=n_devices
-        )
+    """One cell of Figure 7: returns iops/lat/host CPU/dpu CPU."""
     if fs == "ext4":
         sys = build_ext4_system(params)
         path = "/mnt/bigfile"
@@ -65,16 +56,8 @@ def run_one(
     else:
         raise ValueError(fs)
 
-    def prep():
-        f = yield from sys.vfs.open(path, O_CREAT | O_DIRECT)
-        # Preallocate so random reads hit real data.
-        chunk = 1 << 20
-        blob = b"\x42" * chunk
-        for off in range(0, FILE_SIZE, chunk):
-            yield from sys.vfs.write(f, off, blob)
-        return f
-
-    handle = sys.run_until(prep())
+    # Preallocate so random reads hit real data.
+    handle = sys.run_until(prefill_file(sys.vfs, path, FILE_SIZE, b"\x42"))
     block = b"\x5a" * BLOCK
 
     def op(tid: int, j: int):
@@ -88,6 +71,7 @@ def run_one(
         sys.env, nthreads, ops_per_thread, op, host_cpu=sys.host_cpu, dpu_cpu=dpu_cpu
     )
     return {
+        "label": f"{fs}/{rw}/t{nthreads}",
         "iops": res.iops,
         "lat_us": res.mean_lat * 1e6,
         "host_cpu_pct": sys.host_cpu.window_usage_percent(),
@@ -96,48 +80,22 @@ def run_one(
     }
 
 
-def run(
-    params: Optional[SystemParams] = None,
-    thread_counts: Sequence[int] = DEFAULT_THREADS,
-    ops_per_thread: int = 30,
-    scaled: bool = True,
-) -> ResultTable:
-    if scaled:
-        thread_counts = tuple(t for t in thread_counts if t <= 256)
-    table = ResultTable(
-        "Figure 7: Ext4 vs KVFS (8K random, direct I/O)",
-        ["fs", "rw", "threads", "iops", "lat_us", "host_cpu_pct", "dpu_cpu_pct"],
-    )
-    for fs in ("ext4", "kvfs"):
-        for rw in ("read", "write"):
-            for n in thread_counts:
-                r = run_one(fs, rw, n, ops_per_thread, params)
-                table.add_row(
-                    fs, rw, n, r["iops"], r["lat_us"], r["host_cpu_pct"], r["dpu_cpu_pct"]
-                )
-    table.note("paper: crossover at ~64 threads; Ext4 >90% host CPU at 256")
-    return table
-
-
-def run_devices(
-    params: Optional[SystemParams] = None,
-    device_counts=DEFAULT_DEVICES,
-    nthreads: int = 128,
-    ops_per_thread: int = 20,
-) -> ResultTable:
-    """Devices-per-node axis: the ext4 baseline over a striped NVMe array.
-
-    At high concurrency the single device is the 8K-random bottleneck;
-    striping moves the plateau up until the host CPU (ext4's lock/journal
-    contention) takes over.
-    """
-    table = ResultTable(
-        f"Figure 7 devices axis: Ext4 8K random, {nthreads} threads",
-        ["rw", "devices", "iops", "lat_us", "host_cpu_pct"],
-    )
-    for rw in ("read", "write"):
-        for nd in device_counts:
-            r = run_one("ext4", rw, nthreads, ops_per_thread, params, n_devices=nd)
-            table.add_row(rw, nd, r["iops"], r["lat_us"], r["host_cpu_pct"])
-    table.note("devices=1 is the paper testbed; the array raises the SSD ceiling")
-    return table
+SWEEP = Sweep(
+    name="fig7",
+    title="Figure 7: Ext4 vs KVFS (8K random, direct I/O)",
+    point=run_one,
+    points=tuple(
+        {"fs": fs, "rw": rw, "nthreads": n}
+        for fs in ("ext4", "kvfs")
+        for rw in ("read", "write")
+        for n in (1, 32, 64, 128, 256)
+    ),
+    columns=(
+        Column("label", "point", written=False),
+        Column("iops", "iops", 1),
+        Column("lat_us", "lat_us", 2),
+        Column("host_cpu_pct", "host_cpu_pct", 2),
+        Column("dpu_cpu_pct", "dpu_cpu_pct", 2),
+    ),
+    notes=("paper: crossover at ~64 threads; Ext4 >90% host CPU at 256",),
+)

@@ -6,6 +6,11 @@ Two panels, per the paper's §4.2 discussion:
   page cache) and KVFS (the hybrid cache, control plane on the DPU);
 * **sequential reads**: KVFS with the DPU-driven prefetcher on vs off —
   the paper reports ~100x single-thread and ~3x 32-thread read-IOPS boosts.
+
+Declared as two :class:`~repro.experiments.sweep.Sweep` s sharing one
+name, hence one ``results/BENCH_fig8.json``::
+
+    python -m repro.experiments fig8
 """
 
 from __future__ import annotations
@@ -14,26 +19,23 @@ from typing import Optional
 
 from ..core.testbeds import build_dpc_system, build_ext4_system
 from ..host.adapters import O_DIRECT
-from ..host.vfs import O_CREAT
-from ..metrics.stats import ResultTable
 from ..obsv.tracer import NULL_TRACER
 from ..params import SystemParams
-from .common import measure_threads
+from .common import measure_threads, prefill_file
+from .sweep import Column, Sweep
 
-__all__ = ["random_write_panel", "seq_read_prefetch_panel", "run"]
+__all__ = ["random_write_point", "seq_read_point", "WRITES", "PREFETCH"]
 
 BLOCK = 8192
 FILE_SIZE = 8 * 1024 * 1024
+#: per-thread stream length of the sequential-read panel
+STREAM = 2 * 1024 * 1024
 
 
 def _prep(sys, path: str, flags: int, size: int = FILE_SIZE):
     def prep():
-        f = yield from sys.vfs.open(path, O_CREAT | O_DIRECT)
-        blob = b"\x33" * (1 << 20)
-        for off in range(0, size, 1 << 20):
-            yield from sys.vfs.write(f, off, blob)
-        f2 = yield from sys.vfs.open(path, flags)
-        return f2
+        yield from prefill_file(sys.vfs, path, size, b"\x33")
+        return (yield from sys.vfs.open(path, flags))
 
     return sys.run_until(prep())
 
@@ -43,92 +45,103 @@ def _rand_off(tid: int, j: int, span: int) -> int:
     return (h % (span // BLOCK)) * BLOCK
 
 
-def random_write_panel(
-    params: Optional[SystemParams] = None,
+def random_write_point(
+    fs: str,
+    mode: str,
     nthreads: int = 32,
-    ops_per_thread: int = 30,
-) -> ResultTable:
-    table = ResultTable(
-        "Figure 8 (writes): random 8K write IOPS, direct vs buffered",
-        ["fs", "mode", "threads", "iops", "evict_waits", "atomics_per_hit"],
-    )
-    for fs in ("ext4", "kvfs"):
-        for mode in ("direct", "buffered"):
-            if fs == "ext4":
-                sys = build_ext4_system(params)
-                path = "/mnt/f"
-            else:
-                sys = build_dpc_system(params)
-                path = "/kvfs/f"
-            flags = O_DIRECT if mode == "direct" else 0
-            handle = _prep(sys, path, flags)
-            block = b"\x5a" * BLOCK
-
-            def op(tid, j, _h=handle, _s=sys):
-                yield from _s.vfs.write(_h, _rand_off(tid, j, FILE_SIZE), block)
-
-            res = measure_threads(
-                sys.env, nthreads, ops_per_thread, op,
-                tracer=sys.tracer or NULL_TRACER,
-            )
-            snap = sys.registry.snapshot()
-            table.add_row(
-                fs,
-                mode,
-                nthreads,
-                res.iops,
-                snap.get("cache.evict_waits", 0),
-                snap.get("cache.atomics_per_hit", 0.0),
-            )
-    table.note("buffered absorbs into host memory; flushers write back behind")
-    return table
-
-
-def seq_read_prefetch_panel(
+    ops_per_thread: int = 25,
     params: Optional[SystemParams] = None,
-    thread_counts=(1, 32),
-    ops_per_thread: int = 60,
-) -> ResultTable:
-    """KVFS sequential reads with the prefetcher on vs off."""
-    table = ResultTable(
-        "Figure 8 (reads): KVFS sequential 8K read IOPS, prefetch on/off",
-        ["threads", "mode", "iops", "boost", "hit_rate"],
+) -> dict:
+    """Random 8K writes on ``fs``, ``direct`` or ``buffered``."""
+    if fs == "ext4":
+        sys = build_ext4_system(params)
+        path = "/mnt/f"
+    else:
+        sys = build_dpc_system(params)
+        path = "/kvfs/f"
+    handle = _prep(sys, path, O_DIRECT if mode == "direct" else 0)
+    block = b"\x5a" * BLOCK
+
+    def op(tid, j):
+        yield from sys.vfs.write(handle, _rand_off(tid, j, FILE_SIZE), block)
+
+    res = measure_threads(
+        sys.env, nthreads, ops_per_thread, op, tracer=sys.tracer or NULL_TRACER
     )
-    for n in thread_counts:
-        iops = {}
-        hit_rate = {}
-        for mode in ("direct", "prefetch"):
-            sys = build_dpc_system(params, prefetch=(mode == "prefetch"))
-            flags = O_DIRECT if mode == "direct" else 0
-            # Per-thread files so each thread owns a clean stream.
-            handles = {}
-            for t in range(n):
-                handles[t] = _prep(sys, f"/kvfs/s{t}", flags, size=2 * 1024 * 1024)
-
-            def op(tid, j, _hs=handles, _s=sys):
-                off = (j * BLOCK) % (2 * 1024 * 1024)
-                yield from _s.vfs.read(_hs[tid], off, BLOCK)
-
-            res = measure_threads(
-                sys.env, n, ops_per_thread, op, tracer=sys.tracer or NULL_TRACER
-            )
-            iops[mode] = res.iops
-            hit_rate[mode] = sys.registry.get("cache.hit_rate")
-        table.add_row(n, "direct", iops["direct"], 1.0, hit_rate["direct"])
-        table.add_row(
-            n,
-            "prefetch",
-            iops["prefetch"],
-            iops["prefetch"] / iops["direct"],
-            hit_rate["prefetch"],
-        )
-    table.note("paper: ~100x boost at 1 thread, ~3x at 32 threads")
-    return table
+    snap = sys.registry.snapshot()
+    return {
+        "label": f"write/{fs}/{mode}",
+        "iops": res.iops,
+        "evict_waits": snap.get("cache.evict_waits", 0),
+        "atomics_per_hit": snap.get("cache.atomics_per_hit", 0.0),
+    }
 
 
-def run(params: Optional[SystemParams] = None, scaled: bool = True):
-    ops = 25 if scaled else 50
-    return [
-        random_write_panel(params, ops_per_thread=ops),
-        seq_read_prefetch_panel(params, ops_per_thread=50 if scaled else 120),
-    ]
+def seq_read_point(
+    mode: str,
+    nthreads: int,
+    ops_per_thread: int = 120,
+    params: Optional[SystemParams] = None,
+) -> dict:
+    """KVFS sequential 8K reads, ``direct`` or through the ``prefetch``er."""
+    sys = build_dpc_system(params, prefetch=(mode == "prefetch"))
+    flags = O_DIRECT if mode == "direct" else 0
+    # Per-thread files so each thread owns a clean stream.
+    handles = {t: _prep(sys, f"/kvfs/s{t}", flags, size=STREAM) for t in range(nthreads)}
+
+    def op(tid, j):
+        yield from sys.vfs.read(handles[tid], (j * BLOCK) % STREAM, BLOCK)
+
+    res = measure_threads(
+        sys.env, nthreads, ops_per_thread, op, tracer=sys.tracer or NULL_TRACER
+    )
+    return {
+        "label": f"read/t{nthreads}/{mode}",
+        "nthreads": nthreads,
+        "iops": res.iops,
+        "hit_rate": sys.registry.get("cache.hit_rate"),
+    }
+
+
+def _boosts(points: list[dict]) -> dict:
+    """Prefetch over direct read IOPS, per thread count."""
+    iops = {p["label"]: p["iops"] for p in points}
+    return {
+        f"read/t{n}/boost": iops[f"read/t{n}/prefetch"] / iops[f"read/t{n}/direct"]
+        for n in dict.fromkeys(p["nthreads"] for p in points)
+    }
+
+
+WRITES = Sweep(
+    name="fig8",
+    title="Figure 8 (writes): random 8K write IOPS, direct vs buffered",
+    point=random_write_point,
+    points=tuple(
+        {"fs": fs, "mode": mode}
+        for fs in ("ext4", "kvfs")
+        for mode in ("direct", "buffered")
+    ),
+    columns=(
+        Column("label", "point", written=False),
+        Column("iops", "iops", 1),
+        Column("evict_waits", "evict_waits"),
+        Column("atomics_per_hit", "atomics_per_hit", 4),
+    ),
+    notes=("buffered absorbs into host memory; flushers write back behind",),
+)
+
+PREFETCH = Sweep(
+    name="fig8",
+    title="Figure 8 (reads): KVFS sequential 8K read IOPS, prefetch on/off",
+    point=seq_read_point,
+    points=tuple(
+        {"mode": mode, "nthreads": n} for n in (1, 32) for mode in ("direct", "prefetch")
+    ),
+    columns=(
+        Column("label", "point", written=False),
+        Column("iops", "iops", 1),
+        Column("hit_rate", "hit_rate", 4),
+    ),
+    derived=_boosts,
+    notes=("paper: ~100x boost at 1 thread, ~3x at 32 threads",),
+)

@@ -15,6 +15,10 @@ for each.
 Paper claims checked: opt = 4-5x NFS IOPS at 6-15x CPU; DPC ~= opt
 performance (and ~+40 % on random write / creation write) at ~standard-NFS
 CPU; DPC cuts ~90 % of the optimized client's host CPU.
+
+Declared as a :class:`~repro.experiments.sweep.Sweep`::
+
+    python -m repro.experiments fig9
 """
 
 from __future__ import annotations
@@ -26,13 +30,13 @@ from ..core.topology import ROLE_DPC, node_endpoint
 from ..dfs.mds import DFS_ROOT_INO
 from ..host.adapters import O_DIRECT
 from ..host.vfs import O_CREAT
-from ..metrics.stats import ResultTable
 from ..obsv.quantiles import NULL_HUB
 from ..obsv.tracer import NULL_TRACER
 from ..params import SystemParams
-from .common import measure_threads
+from .common import measure_threads, prefill_dfs_file, prefill_file
+from .sweep import Column, Sweep
 
-__all__ = ["run", "run_case", "CASES"]
+__all__ = ["run_case", "CASES", "SWEEP"]
 
 BLOCK = 8192
 FILE_SIZE = 8 * 1024 * 1024
@@ -51,27 +55,17 @@ def _rand_off(tid: int, j: int) -> int:
 
 
 class _HostClientDriver:
-    """std/opt client on the host DFS testbed."""
+    """std/opt client on the host DFS testbed; files are inodes."""
 
     def __init__(self, kind: str, params):
         self.tb = build_host_dfs_clients(params)
         self.client = self.tb.std_client if kind == "std" else self.tb.opt_client
-        self.env = self.tb.env
-        self.host_cpu = self.tb.host_cpu
-        self.registry = self.tb.registry
-        self.tracer = self.tb.tracer
-        self.sketches = self.tb.sketches
+        self.read, self.write = self.client.read, self.client.write
 
     def prep_bigfile(self):
-        def prep():
-            attr = yield from self.tb.opt_client.create(DFS_ROOT_INO, b"big")
-            blob = b"\x11" * SEQ_CHUNK
-            for off in range(0, FILE_SIZE, SEQ_CHUNK):
-                yield from self.tb.opt_client.write(attr.ino, off, blob)
-            yield from self.tb.opt_client.flush_metadata()
-            return attr.ino
-
-        return self.tb.run_until(prep())
+        return self.tb.run_until(
+            prefill_dfs_file(self.tb.opt_client, b"big", FILE_SIZE, SEQ_CHUNK)
+        )
 
     def prep_smallfiles(self, count: int):
         def prep():
@@ -87,40 +81,6 @@ class _HostClientDriver:
 
         return self.tb.run_until(prep())
 
-    def ops(self, case: str, ino, smallfiles, tid_dirs):
-        client = self.client
-        block = b"\x5a" * BLOCK
-
-        if case == "rnd-rd":
-            def op(tid, j):
-                yield from client.read(ino, _rand_off(tid, j), BLOCK)
-        elif case == "rnd-wr":
-            def op(tid, j):
-                yield from client.write(ino, _rand_off(tid, j), block)
-        elif case == "smallfile-rd":
-            def op(tid, j):
-                name, f_ino = smallfiles[(tid * 31 + j * 17) % len(smallfiles)]
-                attr = yield from client.lookup(DFS_ROOT_INO, name)
-                yield from client.read(attr.ino, 0, BLOCK)
-        elif case == "create-wr":
-            def op(tid, j):
-                attr = yield from client.create(
-                    tid_dirs[tid], f"n{tid}-{j}".encode()
-                )
-                yield from client.write(attr.ino, 0, block)
-        elif case == "seq-rd":
-            def op(tid, j):
-                off = (tid * SEQ_CHUNK + j * SEQ_CHUNK) % FILE_SIZE
-                yield from client.read(ino, off, SEQ_CHUNK)
-        else:  # seq-wr
-            blob = b"\x5a" * SEQ_CHUNK
-
-            def op(tid, j):
-                off = (tid * SEQ_CHUNK + j * SEQ_CHUNK) % FILE_SIZE
-                yield from client.write(ino, off, blob)
-
-        return op
-
     def make_dirs(self, nthreads):
         def prep():
             out = {}
@@ -134,148 +94,133 @@ class _HostClientDriver:
 
         return self.tb.run_until(prep())
 
+    def read_small(self, name, _ino):
+        attr = yield from self.client.lookup(DFS_ROOT_INO, name)
+        yield from self.client.read(attr.ino, 0, BLOCK)
+
+    def create_write(self, dir_ino, name: str, data: bytes):
+        attr = yield from self.client.create(dir_ino, name.encode())
+        yield from self.client.write(attr.ino, 0, data)
+
 
 class _DpcDriver:
-    """The full DPC system, /dfs mount, direct I/O."""
+    """The full DPC system, /dfs mount, direct I/O; files are handles."""
 
     def __init__(self, params):
-        self.sys = build_dpc_system(params, with_dfs=True)
-        self.env = self.sys.env
-        self.host_cpu = self.sys.host_cpu
-        self.registry = self.sys.registry
-        self.tracer = self.sys.tracer
-        self.sketches = self.sys.sketches
+        self.tb = build_dpc_system(params, with_dfs=True)
+        self.vfs = self.tb.vfs
+        self.read, self.write = self.vfs.read, self.vfs.write
 
     def prep_bigfile(self):
-        def prep():
-            f = yield from self.sys.vfs.open("/dfs/big", O_CREAT | O_DIRECT)
-            blob = b"\x11" * SEQ_CHUNK
-            for off in range(0, FILE_SIZE, SEQ_CHUNK):
-                yield from self.sys.vfs.write(f, off, blob)
-            return f
-
-        return self.sys.run_until(prep())
+        return self.tb.run_until(
+            prefill_file(self.vfs, "/dfs/big", FILE_SIZE, b"\x11", SEQ_CHUNK)
+        )
 
     def prep_smallfiles(self, count: int):
         def prep():
             handles = []
             for i in range(count):
-                f = yield from self.sys.vfs.open(
-                    f"/dfs/s{i:05d}", O_CREAT | O_DIRECT
-                )
-                yield from self.sys.vfs.write(f, 0, b"\x22" * BLOCK)
+                f = yield from self.vfs.open(f"/dfs/s{i:05d}", O_CREAT | O_DIRECT)
+                yield from self.vfs.write(f, 0, b"\x22" * BLOCK)
                 handles.append((f"s{i:05d}", f))
             return handles
 
-        return self.sys.run_until(prep())
+        return self.tb.run_until(prep())
 
     def make_dirs(self, nthreads):
+        def mk():
+            for t in range(nthreads):
+                yield from self.vfs.mkdir(f"/dfs/dir{t}")
+
+        self.tb.run_until(mk())
         return {t: f"/dfs/dir{t}" for t in range(nthreads)}
 
-    def ops(self, case: str, handle, smallfiles, tid_dirs):
-        sys = self.sys
-        block = b"\x5a" * BLOCK
+    def read_small(self, name, f):
+        yield from self.vfs.stat(f"/dfs/{name}")
+        yield from self.vfs.read(f, 0, BLOCK)
 
-        if case == "rnd-rd":
-            def op(tid, j):
-                yield from sys.vfs.read(handle, _rand_off(tid, j), BLOCK)
-        elif case == "rnd-wr":
-            def op(tid, j):
-                yield from sys.vfs.write(handle, _rand_off(tid, j), block)
-        elif case == "smallfile-rd":
-            def op(tid, j):
-                name, f = smallfiles[(tid * 31 + j * 17) % len(smallfiles)]
-                yield from sys.vfs.stat(f"/dfs/{name}")
-                yield from sys.vfs.read(f, 0, BLOCK)
-        elif case == "create-wr":
-            def op(tid, j):
-                f = yield from sys.vfs.open(
-                    f"{tid_dirs[tid]}/n{tid}-{j}", O_CREAT | O_DIRECT
-                )
-                yield from sys.vfs.write(f, 0, block)
-        elif case == "seq-rd":
-            def op(tid, j):
-                off = (tid * SEQ_CHUNK + j * SEQ_CHUNK) % FILE_SIZE
-                yield from sys.vfs.read(handle, off, SEQ_CHUNK)
-        else:  # seq-wr
-            blob = b"\x5a" * SEQ_CHUNK
-
-            def op(tid, j):
-                off = (tid * SEQ_CHUNK + j * SEQ_CHUNK) % FILE_SIZE
-                yield from sys.vfs.write(handle, off, blob)
-
-        return op
+    def create_write(self, dir_path, name: str, data: bytes):
+        f = yield from self.vfs.open(f"{dir_path}/{name}", O_CREAT | O_DIRECT)
+        yield from self.vfs.write(f, 0, data)
 
 
 def run_case(
     client: str,
     case: str,
     nthreads: int = 64,
-    ops_per_thread: int = 20,
+    ops_per_thread: int = 15,
     params: Optional[SystemParams] = None,
 ) -> dict:
-    """One (client, workload) cell -> iops/bandwidth + host cores."""
-    if client == DPC:
-        driver = _DpcDriver(params)
-    else:
-        driver = _HostClientDriver(client, params)
-    if case in ("seq-rd", "seq-wr"):
+    """One (client, workload) cell -> iops/bandwidth + host cores; ``value``
+    is GB/s for the sequential cases and IOPS for the rest."""
+    driver = _DpcDriver(params) if client == DPC else _HostClientDriver(client, params)
+    seq = case in ("seq-rd", "seq-wr")
+    if seq:
         nthreads = min(nthreads, 16)
-    handle = None
-    smallfiles = None
-    tid_dirs = None
-    if case in ("rnd-rd", "rnd-wr", "seq-rd", "seq-wr"):
-        handle = driver.prep_bigfile()
-    if case == "smallfile-rd":
+    block = b"\x5a" * BLOCK
+    blob = b"\x5a" * SEQ_CHUNK
+
+    if case in ("rnd-rd", "rnd-wr") or seq:
+        f = driver.prep_bigfile()
+
+    if case == "rnd-rd":
+        def op(tid, j):
+            yield from driver.read(f, _rand_off(tid, j), BLOCK)
+    elif case == "rnd-wr":
+        def op(tid, j):
+            yield from driver.write(f, _rand_off(tid, j), block)
+    elif case == "smallfile-rd":
         smallfiles = driver.prep_smallfiles(128)
-    if case == "create-wr":
-        if client == DPC:
-            def mk():
-                for t in range(nthreads):
-                    yield from driver.sys.vfs.mkdir(f"/dfs/dir{t}")
-            driver.sys.run_until(mk())
-            tid_dirs = driver.make_dirs(nthreads)
-        else:
-            tid_dirs = driver.make_dirs(nthreads)
-    op = driver.ops(case, handle, smallfiles, tid_dirs)
+
+        def op(tid, j):
+            yield from driver.read_small(*smallfiles[(tid * 31 + j * 17) % len(smallfiles)])
+    elif case == "create-wr":
+        tid_dirs = driver.make_dirs(nthreads)
+
+        def op(tid, j):
+            yield from driver.create_write(tid_dirs[tid], f"n{tid}-{j}", block)
+    elif case == "seq-rd":
+        def op(tid, j):
+            yield from driver.read(f, (tid * SEQ_CHUNK + j * SEQ_CHUNK) % FILE_SIZE, SEQ_CHUNK)
+    else:  # seq-wr
+        def op(tid, j):
+            yield from driver.write(f, (tid * SEQ_CHUNK + j * SEQ_CHUNK) % FILE_SIZE, blob)
+
+    tb = driver.tb
     res = measure_threads(
-        driver.env,
+        tb.env,
         nthreads,
         ops_per_thread,
         op,
-        host_cpu=driver.host_cpu,
-        tracer=driver.tracer or NULL_TRACER,
-        sketches=driver.sketches or NULL_HUB,
+        host_cpu=tb.host_cpu,
+        tracer=tb.tracer or NULL_TRACER,
+        sketches=tb.sketches or NULL_HUB,
     )
-    unit = SEQ_CHUNK if case.startswith("seq") else BLOCK
+    unit = SEQ_CHUNK if seq else BLOCK
     lats = sorted(res.latencies)
     p99 = lats[min(len(lats) - 1, int(0.99 * (len(lats) - 1)))] if lats else 0.0
     return {
+        "label": f"{case}/{client}",
+        "value": res.iops * unit / 1e9 if seq else res.iops,
         "iops": res.iops,
         "bandwidth": res.iops * unit,
-        "host_cores": driver.registry.get("cpu.host.window_cores"),
+        "host_cores": tb.registry.get("cpu.host.window_cores"),
         "lat_us": res.mean_lat * 1e6,
         "lat_p99_us": p99 * 1e6,
     }
 
 
-def run(
-    params: Optional[SystemParams] = None,
-    nthreads: int = 64,
-    ops_per_thread: int = 20,
-    scaled: bool = True,
-    cases=CASES,
-) -> ResultTable:
-    if scaled:
-        ops_per_thread = min(ops_per_thread, 20)
-    table = ResultTable(
-        "Figure 9: DFS clients — NFS vs NFS+opt-client vs NFS+DPC",
-        ["case", "client", "iops_or_GBs", "host_cores"],
-    )
-    for case in cases:
-        for client in ("std", "opt", DPC):
-            r = run_case(client, case, nthreads, ops_per_thread, params)
-            value = r["bandwidth"] / 1e9 if case.startswith("seq") else r["iops"]
-            table.add_row(case, client, value, r["host_cores"])
-    table.note("seq rows are GB/s; others are IOPS; 64 threads (16 for seq)")
-    return table
+SWEEP = Sweep(
+    name="fig9",
+    title="Figure 9: DFS clients — NFS vs NFS+opt-client vs NFS+DPC",
+    point=run_case,
+    points=tuple(
+        {"client": client, "case": case} for case in CASES for client in ("std", "opt", DPC)
+    ),
+    columns=(
+        Column("label", "point", written=False),
+        Column("value", "iops_or_GBs"),
+        Column("host_cores", "host_cores"),
+    ),
+    notes=("seq rows are GB/s; others are IOPS; 64 threads (16 for seq)",),
+)

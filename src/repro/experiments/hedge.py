@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..params import SystemParams, default_params
-from .fault_ablation import _run_variant
+from .fault_ablation import run_variant
 from .sweep import Column, Sweep
 
 __all__ = ["run_point", "SWEEP"]
@@ -60,7 +60,7 @@ def run_point(
     def hook(_variant: str, tb) -> None:
         attached["tb"] = tb
 
-    row = _run_variant(variant, p, nthreads, ops_per_thread, on_testbed=hook)
+    row = run_variant(variant, p, nthreads, ops_per_thread, on_testbed=hook)
     snap = attached["tb"].registry.snapshot()
     req = {k: 0.0 for k in _REQ_STATS}
     for key, v in snap.items():
@@ -70,16 +70,10 @@ def run_point(
                 req[stat] += v
     primaries = max(1.0, req["attempts"] - req["hedges"])
     return {
+        **row,
         "label": f"{variant}-{'hedged' if hedged else 'off'}",
         "variant": variant,
         "hedged": hedged,
-        "availability": row[1],
-        "p50_us": row[2],
-        "p99_us": row[3],
-        "goodput_iops": row[4],
-        "retries": row[5],
-        "degraded_stripes": row[6],
-        "errors": row[7],
         **req,
         "win_rate": req["hedge_wins"] / req["hedges"] if req["hedges"] else 0.0,
         "extra_attempt_frac": req["hedges"] / primaries,

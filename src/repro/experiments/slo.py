@@ -27,7 +27,7 @@ from typing import Optional
 
 from ..obsv.slo import SloEngine, SloSpec, sketch_layer_sources
 from ..params import SystemParams, default_params
-from .fault_ablation import VARIANTS, _run_variant
+from . import fault_ablation
 from .sweep import Column, Sweep
 
 __all__ = ["run_variant", "LAYERS", "DEFAULT_SPEC", "SWEEP"]
@@ -81,15 +81,12 @@ def run_variant(
         attached["engine"] = engine
         attached["tb"] = tb
 
-    row = _run_variant(variant, p, nthreads, ops_per_thread, on_testbed=hook)
+    row = fault_ablation.run_variant(variant, p, nthreads, ops_per_thread, on_testbed=hook)
     engine, tb = attached["engine"], attached["tb"]
     engine.finish(tb.env.now)
     s = engine.summary()[spec.name]
     return {
-        "label": variant,
-        "availability": row[1],
-        "p50_us": row[2],
-        "p99_us": row[3],
+        **row,
         "observations": s["observations"],
         "bad": s["bad"],
         "burn_rate": s["burn_rate"],
@@ -106,7 +103,7 @@ SWEEP = Sweep(
     title="SLO burn rates under the fault ablation (read p95 < "
     f"{DEFAULT_SPEC.threshold_us:.0f}us)",
     point=run_variant,
-    points=tuple({"variant": v} for v in VARIANTS),
+    points=tuple({"variant": v} for v in fault_ablation.VARIANTS),
     columns=(
         Column("label", "variant", written=False),
         Column("availability", "availability", 4),

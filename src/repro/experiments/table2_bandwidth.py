@@ -17,6 +17,10 @@ workload          Ext4   KVFS
 Our shapes to hold: KVFS > Ext4 in every cell; Ext4 capped by the single
 SSD (~3.2 GB/s); KVFS capped by the disaggregated store's aggregate
 read/write bandwidth.
+
+Declared as a :class:`~repro.experiments.sweep.Sweep`::
+
+    python -m repro.experiments table2
 """
 
 from __future__ import annotations
@@ -24,52 +28,33 @@ from __future__ import annotations
 from typing import Optional
 
 from ..core.testbeds import build_dpc_system, build_ext4_system
-from ..host.adapters import O_DIRECT
-from ..host.vfs import O_CREAT
-from ..metrics.stats import ResultTable
-from ..params import SystemParams, default_params
-from .common import measure_threads
+from ..params import SystemParams
+from .common import measure_threads, prefill_file
+from .sweep import Column, Sweep
 
-__all__ = ["run", "run_one", "run_devices", "DEFAULT_DEVICES"]
+__all__ = ["run_one", "SWEEP"]
 
 CHUNK = 1 << 20
 REGION = 4 * 1024 * 1024  # per-thread streaming region
-DEFAULT_DEVICES = (1, 2, 4)
+THREADS = (1, 32)
+RWS = ("read", "write")
 
 
 def run_one(
     fs: str,
     rw: str,
     nthreads: int,
-    ops_per_thread: int = 8,
+    ops_per_thread: int = 6,
     params: Optional[SystemParams] = None,
-    n_devices: int = 1,
-) -> float:
-    """Returns bytes/second.
-
-    ``n_devices`` stripes the ext4 baseline's local data plane across that
-    many NVMe SSDs (1 = the paper's single-device testbed).
-    """
-    if n_devices != 1:
-        params = (params or default_params()).with_overrides(
-            nvme_devices_per_node=n_devices
-        )
+) -> dict:
+    """``nthreads`` threads streaming 1 MiB ops over their own regions."""
     if fs == "ext4":
         sys = build_ext4_system(params, capacity_blocks=1 << 22)
         path = "/mnt/stream"
     else:
         sys = build_dpc_system(params)
         path = "/kvfs/stream"
-    file_size = REGION * nthreads
-
-    def prep():
-        f = yield from sys.vfs.open(path, O_CREAT | O_DIRECT)
-        blob = b"\x7e" * CHUNK
-        for off in range(0, file_size, CHUNK):
-            yield from sys.vfs.write(f, off, blob)
-        return f
-
-    handle = sys.run_until(prep())
+    handle = sys.run_until(prefill_file(sys.vfs, path, REGION * nthreads, b"\x7e", CHUNK))
     blob = b"\x5a" * CHUNK
 
     def op(tid, j):
@@ -80,42 +65,37 @@ def run_one(
             yield from sys.vfs.write(handle, off, blob)
 
     res = measure_threads(sys.env, nthreads, ops_per_thread, op)
-    return res.iops * CHUNK
+    bandwidth = res.iops * CHUNK
+    return {
+        "label": f"{fs}/{rw}/t{nthreads}",
+        "bandwidth": bandwidth,
+        "GBs": bandwidth / 1e9,
+    }
 
 
-def run(params: Optional[SystemParams] = None, scaled: bool = True) -> ResultTable:
-    ops = 6 if scaled else 12
-    table = ResultTable(
-        "Table 2: sequential 1MB bandwidth (GB/s)",
-        ["threads", "workload", "ext4_GBs", "kvfs_GBs", "kvfs/ext4"],
-    )
-    for n in (1, 32):
-        for rw in ("read", "write"):
-            e = run_one("ext4", rw, n, ops, params)
-            k = run_one("kvfs", rw, n, ops, params)
-            table.add_row(n, f"1MB seq. {rw}", e / 1e9, k / 1e9, k / e)
-    table.note("paper: Ext4 1.8/1.6 -> 3.0/2.0; KVFS 5.0/3.1 -> 7.6/5.0")
-    return table
+def _kvfs_over_ext4(points: list[dict]) -> dict:
+    bw = {p["label"]: p["bandwidth"] for p in points}
+    return {
+        f"{rw}/t{n}/kvfs_over_ext4": bw[f"kvfs/{rw}/t{n}"] / bw[f"ext4/{rw}/t{n}"]
+        for n in THREADS
+        for rw in RWS
+    }
 
 
-def run_devices(
-    params: Optional[SystemParams] = None,
-    device_counts=DEFAULT_DEVICES,
-    nthreads: int = 32,
-    ops_per_thread: int = 6,
-) -> ResultTable:
-    """Devices-per-node axis: ext4 sequential bandwidth over a striped array.
-
-    A single device caps ext4 at ~3.2 GB/s; striping lifts the ceiling
-    until the PCIe link or the host CPU takes over.
-    """
-    table = ResultTable(
-        f"Table 2 devices axis: Ext4 1MB sequential, {nthreads} threads (GB/s)",
-        ["workload", "devices", "GBs"],
-    )
-    for rw in ("read", "write"):
-        for nd in device_counts:
-            bw = run_one("ext4", rw, nthreads, ops_per_thread, params, n_devices=nd)
-            table.add_row(f"1MB seq. {rw}", nd, bw / 1e9)
-    table.note("devices=1 is the paper testbed (single-SSD ~3.2 GB/s cap)")
-    return table
+SWEEP = Sweep(
+    name="table2",
+    title="Table 2: sequential 1MB bandwidth (GB/s)",
+    point=run_one,
+    points=tuple(
+        {"fs": fs, "rw": rw, "nthreads": n}
+        for n in THREADS
+        for rw in RWS
+        for fs in ("ext4", "kvfs")
+    ),
+    columns=(
+        Column("label", "point", written=False),
+        Column("GBs", "GB/s", 3),
+    ),
+    derived=_kvfs_over_ext4,
+    notes=("paper: Ext4 1.8/1.6 -> 3.0/2.0; KVFS 5.0/3.1 -> 7.6/5.0",),
+)

@@ -14,8 +14,7 @@ CLI::
 
 runs the chosen experiment small with tracing enabled, writes the Perfetto
 trace, validates it against the Chrome trace-event schema, and renders the
-text report (also used to append the observability section of
-``results/report.txt`` in ``examples/reproduce_paper.py``).
+text report.  Each ``--experiment`` calls one experiment's point function.
 """
 
 from __future__ import annotations
@@ -215,13 +214,13 @@ def _fig2(case, **size):
 #: ``--experiment`` name -> ``run(case, nthreads=..., ops_per_thread=...)``
 EXPERIMENTS = {
     "fig2": _fig2,
-    "fig8": lambda case, **size: fig8_cache.random_write_panel(**size),
+    "fig8": lambda case, **size: [
+        fig8_cache.random_write_point(**kw, **size) for kw in fig8_cache.WRITES.points
+    ],
     "fig9": lambda case, **size: fig9_dfs.run_case(
         node_endpoint(ROLE_DPC, 0), case or "rnd-wr", **size
     ),
-    "fault_ablation": lambda case, **size: fault_ablation.run(
-        variants=("degraded",), **size
-    ),
+    "fault_ablation": lambda case, **size: fault_ablation.run_variant("degraded", **size),
     "scaleout": lambda case, **size: scaleout.run_point(2, **size),
     "kvflash": lambda case, **size: kvflash.run_elastic_point(2, elastic=True, **size),
     "multidev": lambda case, **size: multidev.run_point("4k_randread", 2, **size),

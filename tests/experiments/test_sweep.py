@@ -1,5 +1,6 @@
 """The sweep harness on a toy two-point sweep (no simulation)."""
 
+import inspect
 import json
 
 import pytest
@@ -94,12 +95,15 @@ def test_cli_unknown_name_exits_nonzero_and_lists_registered(capsys):
     assert "toy" in capsys.readouterr().err
 
 
-def test_registered_sweeps_are_the_five_names_and_well_formed():
+def test_registered_sweeps_are_well_formed_and_their_points_bind():
     from repro.experiments.__main__ import SWEEPS
 
     assert sorted({s.name for s in SWEEPS}) == [
-        "hedge", "kvflash", "multidev", "scaleout", "slo",
+        "ablations", "fault", "fig1", "fig2", "fig6", "fig7", "fig8", "fig9",
+        "hedge", "kvflash", "multidev", "scaleout", "slo", "table2",
     ]
     for s in SWEEPS:
-        assert all(isinstance(kw, dict) for kw in (*s.points, *(s.reduced or ())))
         assert len({c.key for c in s.columns}) == len(s.columns), s.title
+        sig = inspect.signature(s.point)
+        for kw in (*s.points, *(s.reduced or ())):
+            sig.bind(**kw)  # a mistyped argument fails here, before any run
