@@ -5,12 +5,13 @@ through DMA and PCIe atomics — the control/data-plane separation of paper
 §3.3.  Three responsibilities:
 
 * **Flushing**: periodically scan the meta area (bucket-targeted, using the
-  dirty hints the host posts), read-lock dirty pages, pull their data to DPU
-  DRAM by DMA, run the back-end writeback (compression/DIF/EC happen here in
-  the real system), then mark them clean and unlock — all atomically.
+  dirty hints the host posts), read-lock dirty pages just long enough to
+  pull a snapshot of their data to DPU DRAM by DMA, unlock, run the back-end
+  writeback (compression/DIF/EC happen here in the real system), then mark
+  each page clean only if nobody wrote it meanwhile (DESIGN.md §9.5).
 * **Replacement**: serve the host's "bucket full" requests by choosing a
   victim with a pluggable policy (LRU/CLOCK shadow state lives in DPU DRAM),
-  writing it back if dirty, and freeing the entry.
+  writing it back if dirty, and freeing it only if it is clean by then.
 * **Prefetching**: watch the host's miss notifications, detect sequential
   streams with an adaptive (Linux-readahead-style) window, fetch ahead from
   the backend in pipelined chunks and install pages into the host cache by
@@ -59,9 +60,9 @@ __all__ = ["CacheControlPlane"]
 #: raw wire format of one cache entry: the control plane parses DMA'd entry
 #: bytes rather than using host-side accessors
 _ENTRY = struct.Struct("<IIIIQQ")  # lock, status, next, gen, lpn, inode
-#: page write-backs one shard's fsync sweep keeps in flight: the only width at
-#: which no cache_buffered metric pays for fsync's shorter tail (DESIGN.md §9.4)
-_SYNC_WINDOW = 4
+#: page write-backs one shard's fsync sweep keeps in flight: writers no longer
+#: wait on them, so only backend contention prices a wider sweep (DESIGN.md §9.4)
+_SYNC_WINDOW = 8
 
 # Writeback/fetch backends: generators so they can cross the network.
 Writeback = Callable[[int, int, bytes], Generator]
@@ -162,8 +163,9 @@ class CacheControlPlane:
         #: updates blocks by read-modify-write, so two pages of one block
         #: flushed by different shards concurrently would lose an update
         self._wb_locks: dict[tuple[int, int], Resource] = {}
-        #: entry index -> event fired when the write-back holding its
-        #: LOCK_READ unlocks: fsync parks on it instead of polling the lock
+        #: entry index -> event fired when its write-back has landed (or
+        #: failed): nobody snapshots the page again before, and fsync parks
+        #: on it instead of polling
         self._wb_inflight: dict[int, Event] = {}
         self.dif_checks = 0
         self.dif_errors = 0
@@ -364,11 +366,14 @@ class CacheControlPlane:
         Locks are taken in one parallel CAS round, the still-dirty entries
         and their pages are pulled in contiguous burst DMAs (entries and
         pages are laid out by index, so a dirty run costs one transaction,
-        not one per page), writebacks overlap, and the unlock CAS round is
-        parallel again — the batch pays round-trip latency O(rounds), not
-        O(pages).  Returns ``(dirty pages handled, missed)``: ``missed``
-        lists the entries whose lock was lost or whose writeback failed;
-        their buckets are re-queued for the flusher.
+        not one per page), and the unlock CAS round is parallel again — the
+        batch pays round-trip latency O(rounds), not O(pages).  The locks
+        cover the snapshot only: writebacks overlap after the unlock, and
+        each marks its page clean only if the page is unchanged when it
+        lands.  Returns ``(dirty pages handled, missed)``: ``missed`` lists
+        the entries whose lock was lost, whose previous writeback is still
+        in flight, or whose writeback failed; their buckets are re-queued
+        for the flusher.
         """
         t0 = self.env.now
         with self.tracer.span("cache.flush", track="cache", parent=None, n=len(idxs)):
@@ -380,17 +385,25 @@ class CacheControlPlane:
         self, idxs: list[int]
     ) -> Generator[Event, None, tuple[int, list[int]]]:
         lay = self.layout
+        # One write-back per page at a time: a second, newer snapshot could
+        # land first and mark the page clean, and the older one then
+        # overwrite its bytes in the backend.
+        fresh = [idx for idx in idxs if idx not in self._wb_inflight]
+        done = self.env.event()
+        self._wb_inflight.update(dict.fromkeys(fresh, done))
         locked_flags = yield from self._parallel(
-            [self._try_lock_read(idx) for idx in idxs]
+            [self._try_lock_read(idx) for idx in fresh]
         )
-        locked = sorted(idx for idx, ok in zip(idxs, locked_flags) if ok)
-        missed = [idx for idx, ok in zip(idxs, locked_flags) if not ok]
+        locked = sorted(idx for idx, ok in zip(fresh, locked_flags) if ok)
+        missed = [idx for idx in idxs if idx not in locked]
         for idx in missed:
             self._remark_dirty(idx)
+            if self._wb_inflight.get(idx) is done:
+                del self._wb_inflight[idx]
         if not locked:
+            if done.callbacks:  # parked on while our lock CASes were out
+                done.succeed()
             return 0, missed
-        done = self.env.event()
-        self._wb_inflight.update(dict.fromkeys(locked, done))
         # Re-read the locked entries (burst per contiguous run) — the host
         # may have raced a write or an invalidate before our lock landed.
         ents: dict[int, dict] = {}
@@ -413,11 +426,12 @@ class CacheControlPlane:
                 self.link.stats.record_burst("flush-data", n)
             for j in range(n):
                 pages[start + j] = raw[j * lay.page_size : (j + 1) * lay.page_size]
+        # The snapshot is taken: writers may go on while it travels.
+        yield from self._parallel([self._unlock_read(idx) for idx in locked])
         landed = yield from self._parallel(
             [self._writeback_one(idx, ents[idx], pages[idx]) for idx in dirty]
         )
         missed += [idx for idx, ok in zip(dirty, landed) if not ok]
-        yield from self._parallel([self._unlock_read(idx) for idx in locked])
         for idx in locked:
             del self._wb_inflight[idx]
         if done.callbacks:  # an event nobody parked on is not worth scheduling
@@ -447,12 +461,16 @@ class CacheControlPlane:
         self._shard_for(bucket).dirty_buckets.add(bucket)
 
     def _writeback_one(self, idx: int, ent: dict, data: bytes) -> Generator[Event, None, bool]:
-        """Backend processing for one locked dirty page (EC/compression run
-        here in the paper; we compute the DIF guard tag on the DPU); True
-        if the page reached the backend and is marked clean.
+        """Backend processing for one dirty page's snapshot ``ent``/``data``
+        (EC/compression run here in the paper; we compute the DIF guard tag
+        on the DPU); True if the snapshot reached the backend.
 
-        The page data is untouched, so the seqlock generation is left
-        alone — only key/data mutations bump it.  A writeback the backend
+        The page is then marked clean under a brief LOCK_READ, and only if
+        its entry still matches the snapshot: a host write meanwhile bumped
+        the generation and leaves it dirty, its bucket re-queued (the writer
+        posted no hint for a page that was already dirty), as does a lock
+        held at that instant.  Marking clean does not touch the data, so
+        the generation is left alone.  A writeback the backend
         fails (retry budget exhausted) leaves the page dirty and trips the
         circuit breaker; while the breaker is open the flusher degrades to
         skipping the backend entirely — the half-open probe after the reset
@@ -494,11 +512,19 @@ class CacheControlPlane:
             return False
         if self.breaker is not None:
             self.breaker.record_success()
-        # Mark clean: 4-byte DMA write of the status field.
-        yield from self.link.dma_write(
-            self.layout.entry_addr(idx) + 4, ST_CLEAN.to_bytes(4, "little"), tag="flush-status"
-        )
         self.flushed_pages += 1
+        clean = yield from self._try_lock_read(idx)
+        if clean:
+            cur = yield from self._dma_read_entry(idx)
+            clean = all(cur[k] == ent[k] for k in ("status", "gen", "inode", "lpn"))
+            if clean:  # 4-byte DMA write of the status field
+                yield from self.link.dma_write(
+                    self.layout.entry_addr(idx) + 4, ST_CLEAN.to_bytes(4, "little"),
+                    tag="flush-status",
+                )
+            yield from self._unlock_read(idx)
+        if not clean:
+            self._remark_dirty(idx)
         return True
 
     def flush_all(self) -> Generator[Event, None, int]:
@@ -513,13 +539,24 @@ class CacheControlPlane:
         )
         return sum(counts)
 
+    def writebacks_landed(self) -> Generator[Event, None, None]:
+        """Wait until every write-back in flight now has landed (or failed).
+
+        A page's lock no longer covers its backend round trip, so dropping
+        the page (truncate) does not wait for it; the backend-side operation
+        that must follow the write-back waits here instead.
+        """
+        pending = list(dict.fromkeys(self._wb_inflight.values()))
+        if pending:
+            yield self.env.all_of(pending)
+
     def _sync_shard(self, shard: _Shard) -> Generator[Event, None, int]:
         """One burst scan names the pages owed; they go through a pipeline of
-        ``_SYNC_WINDOW`` single-page write-backs, so a page's lock is held
-        for its own write-back only.  Pages missed (lock lost, backend
-        failed) are retried from one more scan filtered to them, after the
-        back-off and after every write-back of ours that holds one of their
-        locks has finished — bounded, like the loop this replaces.
+        ``_SYNC_WINDOW`` single-page write-backs.  Pages missed (lock lost,
+        a write-back already in flight, backend failed) are retried from
+        one more scan filtered to them, after the back-off and after every
+        write-back of ours that carries one of them has landed — bounded,
+        like the loop this replaces.
         """
         handled = 0
         missed: Optional[list[int]] = None
@@ -565,32 +602,38 @@ class CacheControlPlane:
         for idx in order:
             if emap[idx]["status"] == ST_DIRTY:
                 yield from self._flush_entries([idx])
-                if self.breaker is not None:
-                    # With a fallible backend the flush may not have landed;
-                    # never free a still-dirty victim (that would drop data).
-                    ent = yield from self._dma_read_entry(idx)
-                    if ent["status"] == ST_DIRTY:
-                        continue
-            # Free it: write-lock via PCIe atomic, clear status, bump free.
-            ok = yield from self.link.atomic_cas_u32(
-                self.layout.lock_addr(idx), LOCK_FREE, LOCK_WRITE, tag="lock-cas"
-            )
-            if not ok:
-                continue
-            yield from self.link.dma_write(
-                self.layout.entry_addr(idx) + 4, ST_FREE.to_bytes(4, "little"), tag="evict-status"
-            )
-            yield from self.link.atomic_faa_u32(
-                self.layout.free_count_addr, 1, tag="free-count"
-            )
-            yield from self.link.atomic_cas_u32(
-                self.layout.lock_addr(idx), LOCK_WRITE, LOCK_FREE, tag="lock-cas"
-            )
-            policy.forget(idx)
-            self._shadow.pop(idx, None)
-            self.evictions += 1
-            return True
+            if (yield from self._free_clean(idx)):
+                self.evictions += 1
+                return True
         return False
+
+    def _free_clean(self, idx: int) -> Generator[Event, None, bool]:
+        """Free an entry if it is clean: write-lock it, CAS its status
+        ``ST_CLEAN -> ST_FREE``, bump the free count, unlock.
+
+        The status CAS, not the caller's earlier read, decides: a page that
+        was re-dirtied after that read (a host write that slipped in after
+        its write-back's snapshot) or whose write-back did not land keeps
+        its data, and the caller moves on.
+        """
+        lay = self.layout
+        ok = yield from self.link.atomic_cas_u32(
+            lay.lock_addr(idx), LOCK_FREE, LOCK_WRITE, tag="lock-cas"
+        )
+        if not ok:
+            return False
+        freed = yield from self.link.atomic_cas_u32(
+            lay.entry_addr(idx) + 4, ST_CLEAN, ST_FREE, tag="evict-status"
+        )
+        if freed:
+            yield from self.link.atomic_faa_u32(lay.free_count_addr, 1, tag="free-count")
+        yield from self.link.atomic_cas_u32(
+            lay.lock_addr(idx), LOCK_WRITE, LOCK_FREE, tag="lock-cas"
+        )
+        if freed:
+            self._policy_of_idx(idx).forget(idx)
+            self._shadow.pop(idx, None)
+        return freed
 
     # ------------------------------------------------------------------ coherence
     def invalidate_inode(self, inode: int) -> Generator[Event, None, int]:
@@ -600,9 +643,10 @@ class CacheControlPlane:
         on a file, pages cached under the old delegation must not serve
         future reads.  Dirty pages are written back first — the recalled
         owner's data lands in the backend *before* the contender's writes —
-        then every matching entry is freed evict-style (write-lock, status
-        ST_FREE, free-count bump).  Stale DIF tags for the inode are dropped
-        with the pages.
+        then every matching entry is freed evict-style (``_free_clean``: a
+        page a host write re-dirtied meanwhile is written back on the next
+        round, not dropped).  Stale DIF tags for the inode are dropped with
+        the pages.
 
         Each shard's whole entry array is scanned in one burst DMA and the
         shards sweep in parallel, so the recall ack fits comfortably inside
@@ -639,9 +683,11 @@ class CacheControlPlane:
             dropped += sum(1 for o in outcomes if o == "freed")
             if "retry" not in outcomes:
                 break
-            # A host write or concurrent flusher is racing us: back off and
-            # rescan the shard range.
-            yield self.env.timeout(5e-6)
+            # A host write or concurrent flusher is racing us: back off, wait
+            # out the write-backs in flight for our pages, rescan the range.
+            backoff = self.env.timeout(5e-6)
+            parked = [self._wb_inflight[i] for i, _e in mine if i in self._wb_inflight]
+            yield self.env.all_of([backoff, *parked]) if parked else backoff
         return dropped
 
     def _invalidate_entry(self, idx: int, inode: int) -> Generator[Event, None, str]:
@@ -651,25 +697,8 @@ class CacheControlPlane:
             return "gone"
         if ent["status"] == ST_DIRTY:
             return "retry"  # flush raced a host write or was breaker-skipped
-        ok = yield from self.link.atomic_cas_u32(
-            self.layout.lock_addr(idx), LOCK_FREE, LOCK_WRITE, tag="lock-cas"
-        )
-        if not ok:
-            return "retry"
-        yield from self.link.dma_write(
-            self.layout.entry_addr(idx) + 4,
-            ST_FREE.to_bytes(4, "little"),
-            tag="evict-status",
-        )
-        yield from self.link.atomic_faa_u32(
-            self.layout.free_count_addr, 1, tag="free-count"
-        )
-        yield from self.link.atomic_cas_u32(
-            self.layout.lock_addr(idx), LOCK_WRITE, LOCK_FREE, tag="lock-cas"
-        )
-        self._policy_of_idx(idx).forget(idx)
-        self._shadow.pop(idx, None)
-        return "freed"
+        freed = yield from self._free_clean(idx)
+        return "freed" if freed else "retry"
 
     # ------------------------------------------------------------------ read-ahead dispatch
     def _dispatch_readahead(self, inode: int, lpn: int) -> None:

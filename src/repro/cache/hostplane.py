@@ -42,7 +42,9 @@ __all__ = ["HostCachePlane", "CacheStats"]
 
 #: host CPU cost of one hash + bucket walk
 _LOOKUP_COST = 0.15e-6
-#: back-off while an entry is locked by the flusher
+#: back-off while an entry is locked: the control plane holds a page's lock
+#: for a snapshot or a status change (a few PCIe round trips), never across
+#: a backend round trip, so a short spin is the right wait
 _LOCK_RETRY = 0.5e-6
 
 #: sentinels for the seqlock attempt outcome
@@ -68,6 +70,8 @@ class CacheStats:
         #: lock-word / free-count atomics issued by the read-hit path
         #: (attempted CASes count: a failed CAS still crosses the cacheline)
         self.read_atomics = 0
+        #: LOCK_WRITE CASes the host write path lost to a held lock
+        self.write_lock_retries = 0
 
     def hit_rate(self) -> float:
         total = self.read_hits + self.read_misses
@@ -258,6 +262,7 @@ class HostCachePlane:
                 ok = lay.try_lock(idx, LOCK_WRITE)
                 yield from self._atomic()
                 if not ok:
+                    self.stats.write_lock_retries += 1
                     yield self.env.timeout(_LOCK_RETRY)
                     continue
                 if lay.entry_key(idx) != (inode, lpn) or lay.entry_status(idx) == ST_FREE:
@@ -314,6 +319,7 @@ class HostCachePlane:
             ok = lay.try_lock(i, LOCK_WRITE)
             yield from self._atomic()
             if not ok:
+                self.stats.write_lock_retries += 1
                 continue
             if lay.entry_status(i) != ST_FREE:  # raced with another claimer
                 lay.unlock(i, LOCK_WRITE)

@@ -177,6 +177,7 @@ def _collect_cache(cache_host: HostCachePlane):
             "cache.seqlock_retries": s.seqlock_retries,
             "cache.seqlock_fallbacks": s.seqlock_fallbacks,
             "cache.read_atomics": s.read_atomics,
+            "cache.write_lock_retries": s.write_lock_retries,
             "cache.hit_rate": s.hit_rate(),
             "cache.atomics_per_hit": s.atomics_per_hit(),
         }

@@ -150,6 +150,10 @@ class IoDispatch:
                 yield from fs.rename(req.ino, req.name, req.aux_ino, req.extra)
                 return FileResponse(), b""
             if op == FileOp.TRUNCATE:
+                if self.cache_ctrl is not None:
+                    # A write-back in flight may carry a page the host has
+                    # just dropped past the cut: let it land first.
+                    yield from self.cache_ctrl.writebacks_landed()
                 yield from fs.truncate(req.ino, req.offset)
                 if self.cache_ctrl is not None:
                     self.cache_ctrl.dif_drop_file(req.ino << 1)

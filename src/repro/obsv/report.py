@@ -186,7 +186,7 @@ def render_report(systems, title: str = "flight recorder") -> str:
             lines.append(f"metrics snapshot ({len(snap)} series, selected):")
             for prefix in ("pcie.ops", "pcie.doorbells", "pcie.interrupts",
                            "cache.read_hits", "cache.read_misses", "cache.hit_rate",
-                           "kv.engine.puts", "kv.engine.gets",
+                           "cache.write_lock_retries", "kv.engine.puts", "kv.engine.gets",
                            "dfs.ops", "dfs.retries", "fault.events"):
                 if prefix in snap:
                     v = snap[prefix]

@@ -36,8 +36,17 @@ GOLDEN_FIG2 = "5aa342586e7cc34e74bddaf3b93a005ffe5a0ac3bfad2e7897468da5d1fc24d2"
 #: ``pcie.reads`` 4474 -> 463 and ``by_tag.meta-scan`` 4208 -> 196; it returns
 #: sooner, which moves the two ``window_cores`` ratios, and takes its locks
 #: page by page (``lock-cas`` 253 -> 270, ``meta-read`` 126 -> 127).
-GOLDEN_FIG8 = "8e0a423ae5dfda769ac4808094583d969170026a184f8c4e058fb5de8a241f43"
-GOLDEN_FIG9 = "ced0984b4490cca75dc53ff1ba8ad01a9b74254e9a142e8474cd73186b621836"
+#: Re-pinned again when cache write-back came to lock a page for its snapshot
+#: only (DESIGN.md §9.5): each write-back marks its page clean under a second,
+#: brief lock with an entry re-read (``lock-cas`` 270 -> 445, ``meta-read``
+#: 127 -> 222), fsync keeps 8 write-backs in flight per shard instead of 4
+#: (``meta-scan`` 196 -> 152), the two ``window_cores`` ratios move, and the
+#: new ``cache.write_lock_retries`` counter reads 10.
+GOLDEN_FIG8 = "c085eaef9531ff2c2df848387c6e8219a2d55f67bb5cc881f87f4fadc0b77a81"
+#: FIG9 re-pinned for one new registry key only, ``cache.write_lock_retries``
+#: (0 here: the probe's writes are O_DIRECT); without it the snapshot hashes
+#: to the previous pin, ced0984b…1836.
+GOLDEN_FIG9 = "86407a6f3c62f64f7f3f4807667e3a50f6e699657e42f40c4988ce6eec1147a6"
 
 
 def _signature(obj) -> str:
