@@ -265,9 +265,7 @@ def build_raw_transport(
     host_cpu = _host_cpu(env, p)
     dpu_cpu = _dpu_cpu(env, p)
     arena = MemoryArena(p.host_arena_bytes)
-    link = PcieLink(
-        env, arena, latency=p.pcie_latency, bandwidth=p.pcie_bandwidth, engines=p.pcie_engines
-    )
+    link = PcieLink.from_params(env, arena, p)
     virtual = VirtualClient(env, dpu_cpu, p)
     registry = Registry(kind)
     registry.collect(_collect_cpu(host_cpu))

@@ -558,13 +558,7 @@ def build_cluster(
         host_cpu = _host_cpu(env, p, i)
         dpu_cpu = _dpu_cpu(env, p, i)
         arena = MemoryArena(p.host_arena_bytes)
-        link = PcieLink(
-            env,
-            arena,
-            latency=p.pcie_latency,
-            bandwidth=p.pcie_bandwidth,
-            engines=p.pcie_engines,
-        )
+        link = PcieLink.from_params(env, arena, p)
         if i == 0:
             fabric = Fabric(
                 env, latency=p.net_latency, default_bandwidth=p.net_bandwidth

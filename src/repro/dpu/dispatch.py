@@ -1,8 +1,15 @@
 """IO_Dispatch: the DPU-side request router (paper Figure 3).
 
 Consumes decoded nvme-fs commands from the NVME-TGT driver (or FUSE
-messages from the DPFS HAL) and dispatches them by the SQE's request-type
-bit: ``0`` -> the standalone KVFS stack, ``1`` -> the offloaded DFS client.
+messages from the DPFS HAL) and routes each one to one of three stacks.
+The SQE's request-type bit picks the first two: ``0`` -> the standalone
+KVFS stack, ``1`` -> the offloaded DFS client.  That bit is all the SQE
+has, so the third stack, the DPU-local file system over the striped NVMe
+array, is selected in-band: a standalone request carrying ``FLAG_LOCAL``.
+
+Every stack is one ``FileOp -> call`` table, and one function,
+:meth:`IoDispatch._serve`, turns any stack's result into the op's
+:class:`FileResponse`.
 
 Also owns the hybrid cache's backend hooks: dirty pages flushed by the
 cache control plane are written back through whichever stack owns the
@@ -11,7 +18,8 @@ tagged inode, and prefetch fetches read through the same stacks.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+import dataclasses
+from typing import Callable, Generator, NamedTuple, Optional
 
 from ..dfs.clients import DfsError, OffloadedDfsClient
 from ..dfs.stripeio import StorageUnavailable
@@ -23,7 +31,6 @@ from ..obsv.tracer import NULL_TRACER
 from ..params import SystemParams
 from ..proto.filemsg import (
     Errno,
-    FileAttr,
     FileOp,
     FileRequest,
     FileResponse,
@@ -43,9 +50,83 @@ FLAG_DIRECT = 0x4000
 #: single bit, so the third backend is selected in-band via flags)
 FLAG_LOCAL = 0x2000
 
+#: ``call(fs, request, payload) -> generator``: one stack's handler for one op
+OpCall = Callable[..., Generator]
+
+
+def _grow_by_setattr(fs, req: FileRequest, _payload) -> Generator:
+    """Extend-size SETATTR (buffered-write metadata catch-up); never shrinks."""
+    attr = yield from fs.stat(req.ino)
+    if req.offset > attr.size:
+        yield from fs.setattr(dataclasses.replace(attr, size=req.offset))
+
+
+def _grow_by_truncate(fs, req: FileRequest, _payload) -> Generator:
+    """The same grow-only SETATTR on a file system without ``setattr``."""
+    attr = yield from fs.stat(req.ino)
+    if req.offset > attr.size:
+        yield from fs.truncate(req.ino, req.offset)
+
+
+_KVFS_OPS: dict[FileOp, OpCall] = {
+    FileOp.LOOKUP: lambda fs, r, _: fs.lookup(r.ino, r.name),
+    FileOp.CREATE: lambda fs, r, _: fs.create(r.ino, r.name, r.mode or 0o644),
+    FileOp.MKDIR: lambda fs, r, _: fs.mkdir(r.ino, r.name, r.mode or 0o755),
+    FileOp.STAT: lambda fs, r, _: fs.stat(r.ino),
+    FileOp.READDIR: lambda fs, r, _: fs.readdir(r.ino),
+    FileOp.UNLINK: lambda fs, r, _: fs.unlink(r.ino, r.name),
+    FileOp.RMDIR: lambda fs, r, _: fs.rmdir(r.ino, r.name),
+    FileOp.RENAME: lambda fs, r, _: fs.rename(r.ino, r.name, r.aux_ino, r.extra),
+    FileOp.TRUNCATE: lambda fs, r, _: fs.truncate(r.ino, r.offset),
+    FileOp.SETATTR: _grow_by_setattr,
+    FileOp.WRITE: lambda fs, r, data: fs.write(r.ino, r.offset, data),
+    FileOp.READ: lambda fs, r, _: fs.read(r.ino, r.offset, r.length),
+    FileOp.FSYNC: lambda fs, r, _: fs.fsync(r.ino),
+}
+
+#: the FsAdapter surface (an Ext4Adapter on DPU cores): KVFS's calls, but
+#: data ops carry the request flags and SETATTR grows by truncate
+_LOCAL_OPS: dict[FileOp, OpCall] = {
+    **_KVFS_OPS,
+    FileOp.WRITE: lambda fs, r, data: fs.write(r.ino, r.offset, data, r.flags),
+    FileOp.READ: lambda fs, r, _: fs.read(r.ino, r.offset, r.length, r.flags),
+    FileOp.SETATTR: _grow_by_truncate,
+}
+
+_DFS_OPS: dict[FileOp, OpCall] = {
+    FileOp.CREATE: lambda c, r, _: c.create(r.ino, r.name, (r.mode or 0o644) | 0o100000),
+    FileOp.MKDIR: lambda c, r, _: c.create(r.ino, r.name, (r.mode or 0o755) | 0o040000),
+    FileOp.LOOKUP: lambda c, r, _: c.lookup(r.ino, r.name),
+    FileOp.STAT: lambda c, r, _: c.getattr(r.ino),
+    FileOp.READDIR: lambda c, r, _: c.readdir(r.ino),
+    FileOp.UNLINK: lambda c, r, _: c.unlink(r.ino, r.name),
+    FileOp.RMDIR: lambda c, r, _: c.unlink(r.ino, r.name),
+    FileOp.WRITE: lambda c, r, data: c.write(r.ino, r.offset, data),
+    FileOp.READ: lambda c, r, _: c.read(r.ino, r.offset, r.length),
+    FileOp.FSYNC: lambda c, r, _: c.flush_metadata(),
+    FileOp.DELEG_ACQUIRE: lambda c, r, _: c.acquire_file_delegation(r.ino),
+}
+
+#: ops whose result is a :class:`FileAttr` (``None``: no such entry)
+_ATTR_OPS = frozenset({FileOp.LOOKUP, FileOp.CREATE, FileOp.MKDIR, FileOp.STAT})
+
+
+class _Stack(NamedTuple):
+    """One DPU file stack as dispatch sees it."""
+
+    name: str  # span and sketch name
+    ops: dict[FileOp, OpCall]
+    errors: type  # the stack's error type; its ``errno_code`` is the status
+    tag: Optional[int]  # hybrid-cache tag bit of its inodes; None: uncached
+
+
+_KVFS = _Stack("dispatch.kvfs", _KVFS_OPS, KvfsError, 0)
+_LOCAL = _Stack("dispatch.local", _LOCAL_OPS, OSError, None)
+_DFS = _Stack("dispatch.dfs", _DFS_OPS, DfsError, 1)
+
 
 class IoDispatch:
-    """Routes file requests to KVFS or the DFS client on the DPU."""
+    """Routes file requests to KVFS, the DFS client or the local plane."""
 
     #: flight-recorder hook; builders replace this with a live tracer
     tracer = NULL_TRACER
@@ -89,219 +170,67 @@ class IoDispatch:
         """
         req_type = sqe.req_type if sqe is not None else ReqType.STANDALONE
         t0 = self.env.now
-        try:
-            if req_type == ReqType.STANDALONE:
-                if request.flags & FLAG_LOCAL:
-                    self.local_ops += 1
-                    if self.local_fs is None:
-                        return FileResponse(status=Errno.EINVAL), b""
-                    with self.tracer.span(
-                        "dispatch.local", track="dpu", op=request.op.name
-                    ):
-                        res = yield from self._local_op(request, payload)
-                    self.sketches.observe("dispatch.local", self.env.now - t0)
-                    return res
-                self.standalone_ops += 1
-                if self.kvfs is None:
-                    return FileResponse(status=Errno.EINVAL), b""
-                with self.tracer.span("dispatch.kvfs", track="dpu", op=request.op.name):
-                    res = yield from self._kvfs_op(request, payload)
-                self.sketches.observe("dispatch.kvfs", self.env.now - t0)
-                return res
+        if req_type != ReqType.STANDALONE:
             self.distributed_ops += 1
-            if self.dfs_client is None:
-                return FileResponse(status=Errno.EINVAL), b""
-            with self.tracer.span("dispatch.dfs", track="dpu", op=request.op.name):
-                res = yield from self._dfs_op(request, payload)
-            self.sketches.observe("dispatch.dfs", self.env.now - t0)
-            return res
+            stack, fs = _DFS, self.dfs_client
+        elif request.flags & FLAG_LOCAL:
+            self.local_ops += 1
+            stack, fs = _LOCAL, self.local_fs
+        else:
+            self.standalone_ops += 1
+            stack, fs = _KVFS, self.kvfs
+        if fs is None:
+            return FileResponse(status=Errno.EINVAL), b""
+        try:
+            with self.tracer.span(stack.name, track="dpu", op=request.op.name):
+                res = yield from self._serve(stack, fs, request, payload)
         except (RetryBudgetExceeded, StorageUnavailable, KvTransactionError):
             return FileResponse(status=Errno.EIO), b""
+        self.sketches.observe(stack.name, self.env.now - t0)
+        return res
 
-    # ------------------------------------------------------------------ KVFS stack
-    def _kvfs_op(
-        self, req: FileRequest, payload: bytes
+    def _serve(
+        self, stack: _Stack, fs, req: FileRequest, payload: bytes
     ) -> Generator[Event, None, tuple[FileResponse, bytes]]:
-        fs = self.kvfs
-        try:
-            op = req.op
-            if op == FileOp.LOOKUP:
-                attr = yield from fs.lookup(req.ino, req.name)
-                return FileResponse(attr=attr), b""
-            if op == FileOp.CREATE:
-                attr = yield from fs.create(req.ino, req.name, req.mode or 0o644)
-                return FileResponse(attr=attr), b""
-            if op == FileOp.MKDIR:
-                attr = yield from fs.mkdir(req.ino, req.name, req.mode or 0o755)
-                return FileResponse(attr=attr), b""
-            if op == FileOp.STAT:
-                attr = yield from fs.stat(req.ino)
-                return FileResponse(attr=attr), b""
-            if op == FileOp.READDIR:
-                entries = yield from fs.readdir(req.ino)
-                return self._paginate_dirents(entries, req.offset, req.length)
-            if op == FileOp.UNLINK:
-                yield from fs.unlink(req.ino, req.name)
-                return FileResponse(), b""
-            if op == FileOp.RMDIR:
-                yield from fs.rmdir(req.ino, req.name)
-                return FileResponse(), b""
-            if op == FileOp.RENAME:
-                yield from fs.rename(req.ino, req.name, req.aux_ino, req.extra)
-                return FileResponse(), b""
-            if op == FileOp.TRUNCATE:
-                if self.cache_ctrl is not None:
-                    # A write-back in flight may carry a page the host has
-                    # just dropped past the cut: let it land first.
-                    yield from self.cache_ctrl.writebacks_landed()
-                yield from fs.truncate(req.ino, req.offset)
-                if self.cache_ctrl is not None:
-                    self.cache_ctrl.dif_drop_file(req.ino << 1)
-                return FileResponse(), b""
-            if op == FileOp.SETATTR:
-                # Extend-size setattr (buffered-write metadata catch-up).
-                attr = yield from fs.stat(req.ino)
-                if req.offset > attr.size:
-                    import dataclasses
-
-                    yield from fs.setattr(dataclasses.replace(attr, size=req.offset))
-                return FileResponse(), b""
-            if op == FileOp.WRITE:
-                n = yield from fs.write(req.ino, req.offset, payload)
-                self._dif_drop_range(req.ino << 1, req.offset, len(payload))
-                return FileResponse(size=n), b""
-            if op == FileOp.READ:
-                data = yield from fs.read(req.ino, req.offset, req.length)
-                if (
-                    self.cache_ctrl is not None
-                    and not req.flags & FLAG_DIRECT
-                    and data
-                ):
-                    self._spawn_fills(req.ino << 1, req.offset, data)
-                return FileResponse(size=len(data)), data
-            if op == FileOp.FSYNC:
-                if self.cache_ctrl is not None:
-                    yield from self.cache_ctrl.flush_all()
-                yield from fs.fsync(req.ino)
-                return FileResponse(), b""
+        """Run ``req`` on one stack and shape its result by op."""
+        op = req.op
+        call = stack.ops.get(op)
+        if call is None:
             return FileResponse(status=Errno.EINVAL), b""
-        except KvfsError as e:
-            return FileResponse(status=e.errno_code), b""
-
-    # ------------------------------------------------------------------ local plane
-    def _local_op(
-        self, req: FileRequest, payload: bytes
-    ) -> Generator[Event, None, tuple[FileResponse, bytes]]:
-        """DPU-local data plane: an ext4-sim over the striped NVMe array.
-
-        ``fs`` speaks the FsAdapter surface (Ext4Adapter on DPU cores), so
-        the striped device fan-out happens underneath the unmodified file
-        system.  Errors surface as ``errno_code``-carrying OSErrors from
-        either the adapter or the fs proper.
-        """
-        fs = self.local_fs
+        cache = self.cache_ctrl if stack.tag is not None else None
+        tagged = (req.ino << 1) | (stack.tag or 0)
         try:
-            op = req.op
-            if op == FileOp.LOOKUP:
-                attr = yield from fs.lookup(req.ino, req.name)
-                return FileResponse(attr=attr), b""
-            if op == FileOp.CREATE:
-                attr = yield from fs.create(req.ino, req.name, req.mode or 0o644)
-                return FileResponse(attr=attr), b""
-            if op == FileOp.MKDIR:
-                attr = yield from fs.mkdir(req.ino, req.name, req.mode or 0o755)
-                return FileResponse(attr=attr), b""
-            if op == FileOp.STAT:
-                attr = yield from fs.stat(req.ino)
-                return FileResponse(attr=attr), b""
-            if op == FileOp.READDIR:
-                entries = yield from fs.readdir(req.ino)
-                return self._paginate_dirents(entries, req.offset, req.length)
-            if op == FileOp.UNLINK:
-                yield from fs.unlink(req.ino, req.name)
-                return FileResponse(), b""
-            if op == FileOp.RMDIR:
-                yield from fs.rmdir(req.ino, req.name)
-                return FileResponse(), b""
-            if op == FileOp.RENAME:
-                yield from fs.rename(req.ino, req.name, req.aux_ino, req.extra)
-                return FileResponse(), b""
-            if op == FileOp.TRUNCATE:
-                yield from fs.truncate(req.ino, req.offset)
-                return FileResponse(), b""
-            if op == FileOp.SETATTR:
-                attr = yield from fs.stat(req.ino)
-                if req.offset > attr.size:
-                    yield from fs.truncate(req.ino, req.offset)
-                return FileResponse(), b""
-            if op == FileOp.WRITE:
-                n = yield from fs.write(req.ino, req.offset, payload, req.flags)
-                return FileResponse(size=n), b""
-            if op == FileOp.READ:
-                data = yield from fs.read(req.ino, req.offset, req.length, req.flags)
-                return FileResponse(size=len(data)), data
-            if op == FileOp.FSYNC:
-                yield from fs.fsync(req.ino)
-                return FileResponse(), b""
-            return FileResponse(status=Errno.EINVAL), b""
-        except OSError as e:
+            if cache is not None and op == FileOp.FSYNC:
+                yield from cache.flush_all()
+            elif cache is not None and op == FileOp.TRUNCATE:
+                # A write-back in flight may carry a page the host has
+                # just dropped past the cut: let it land first.
+                yield from cache.writebacks_landed()
+            out = yield from call(fs, req, payload)
+        except stack.errors as e:
             return FileResponse(status=getattr(e, "errno_code", Errno.EIO)), b""
-
-    # ------------------------------------------------------------------ DFS stack
-    def _dfs_op(
-        self, req: FileRequest, payload: bytes
-    ) -> Generator[Event, None, tuple[FileResponse, bytes]]:
-        client = self.dfs_client
-        try:
-            op = req.op
-            if op in (FileOp.CREATE, FileOp.MKDIR):
-                mode = req.mode or (0o755 if op == FileOp.MKDIR else 0o644)
-                if op == FileOp.MKDIR:
-                    mode |= 0o040000
-                else:
-                    mode |= 0o100000
-                attr = yield from client.create(req.ino, req.name, mode)
-                return FileResponse(attr=attr), b""
-            if op == FileOp.LOOKUP:
-                attr = yield from client.lookup(req.ino, req.name)
-                if attr is None:
-                    return FileResponse(status=Errno.ENOENT), b""
-                return FileResponse(attr=attr), b""
-            if op == FileOp.STAT:
-                attr = yield from client.getattr(req.ino)
-                if attr is None:
-                    return FileResponse(status=Errno.ENOENT), b""
-                return FileResponse(attr=attr), b""
-            if op == FileOp.READDIR:
-                entries = yield from client.readdir(req.ino)
-                return self._paginate_dirents(entries, req.offset, req.length)
-            if op in (FileOp.UNLINK, FileOp.RMDIR):
-                yield from client.unlink(req.ino, req.name)
-                return FileResponse(), b""
-            if op == FileOp.WRITE:
-                n = yield from client.write(req.ino, req.offset, payload)
-                self._dif_drop_range((req.ino << 1) | 1, req.offset, len(payload))
-                return FileResponse(size=n), b""
-            if op == FileOp.READ:
-                data = yield from client.read(req.ino, req.offset, req.length)
-                if (
-                    self.cache_ctrl is not None
-                    and not req.flags & FLAG_DIRECT
-                    and data
-                ):
-                    self._spawn_fills((req.ino << 1) | 1, req.offset, data)
-                return FileResponse(size=len(data)), data
-            if op == FileOp.FSYNC:
-                if self.cache_ctrl is not None:
-                    yield from self.cache_ctrl.flush_all()
-                yield from client.flush_metadata()
-                return FileResponse(), b""
-            if op == FileOp.DELEG_ACQUIRE:
-                ok = yield from client.acquire_file_delegation(req.ino)
-                return FileResponse(aux=1 if ok else 0), b""
-            return FileResponse(status=Errno.EINVAL), b""
-        except DfsError as e:
-            return FileResponse(status=e.errno_code), b""
+        if op in _ATTR_OPS:
+            if out is None:
+                return FileResponse(status=Errno.ENOENT), b""
+            return FileResponse(attr=out), b""
+        if op == FileOp.READ:
+            if cache is not None and not req.flags & FLAG_DIRECT and out:
+                self._spawn_fills(tagged, req.offset, out)
+            return FileResponse(size=len(out)), out
+        if op == FileOp.WRITE:
+            if cache is not None and payload:
+                # Direct writes bypass the flusher: drop stale DIF tags.
+                first = req.offset // PAGE
+                last = (req.offset + len(payload) + PAGE - 1) // PAGE
+                cache.dif_drop_range(tagged, first, last - first)
+            return FileResponse(size=out), b""
+        if op == FileOp.READDIR:
+            return self._paginate_dirents(out, req.offset, req.length)
+        if op == FileOp.DELEG_ACQUIRE:
+            return FileResponse(aux=1 if out else 0), b""
+        if cache is not None and op == FileOp.TRUNCATE:
+            cache.dif_drop_file(tagged)
+        return FileResponse(), b""
 
     @staticmethod
     def _paginate_dirents(entries, cookie: int, room: int) -> tuple[FileResponse, bytes]:
@@ -328,14 +257,6 @@ class IoDispatch:
         return FileResponse(aux=next_cookie, size=len(blob)), blob
 
     # ------------------------------------------------------------------ cache hooks
-    def _dif_drop_range(self, tagged_ino: int, offset: int, length: int) -> None:
-        """Direct writes bypass the flusher: invalidate stale DIF tags."""
-        if self.cache_ctrl is None or length <= 0:
-            return
-        first = offset // PAGE
-        last = (offset + length + PAGE - 1) // PAGE
-        self.cache_ctrl.dif_drop_range(tagged_ino, first, last - first)
-
     def _spawn_fills(self, tagged_ino: int, offset: int, data: bytes) -> None:
         """Install freshly-read pages into the host cache, off critical path.
 
@@ -344,11 +265,7 @@ class IoDispatch:
         """
         if offset % PAGE:
             return  # only page-aligned reads feed the cache
-        pages = [
-            data[i : i + PAGE]
-            for i in range(0, len(data), PAGE)
-            if len(data[i : i + PAGE]) == PAGE
-        ]
+        pages = [data[i : i + PAGE] for i in range(0, len(data) - PAGE + 1, PAGE)]
         if pages:
             self.env.process(
                 self.cache_ctrl.fill_run(tagged_ino, offset // PAGE, pages),
@@ -366,9 +283,7 @@ class IoDispatch:
         if self.cache_ctrl is None:
             yield from ()
             return 0
-        tagged = (ino << 1) | 1
-        dropped = yield from self.cache_ctrl.invalidate_inode(tagged)
-        return dropped
+        return (yield from self.cache_ctrl.invalidate_inode((ino << 1) | 1))
 
     def cache_writeback(self, tagged_ino: int, lpn: int, data: bytes) -> Generator:
         """Hybrid-cache flusher hook: route the dirty page to its stack.

@@ -68,8 +68,6 @@ class RequestConfig:
     hedge_max: int = 1
     #: observations an endpoint sketch needs before its quantiles are trusted
     hedge_min_obs: int = 16
-    #: cancel the losing attempt on the wire (tied requests)
-    tied_cancel: bool = True
     #: quantile-fed backoff and per-endpoint retry budgets
     adaptive_retry: bool = False
     #: retries allowed per endpoint: budget_min + budget_ratio * attempts
@@ -102,7 +100,6 @@ class RequestConfig:
             hedge_ceiling=p.req_hedge_ceiling,
             hedge_max=p.req_hedge_max,
             hedge_min_obs=p.req_hedge_min_obs,
-            tied_cancel=p.req_tied_cancel,
             adaptive_retry=p.req_adaptive_retry,
             budget_ratio=p.req_budget_ratio,
             budget_min=p.req_budget_min,
@@ -437,8 +434,6 @@ class RequestEngine:
 
     def _cancel_losers(self, losers: list[Attempt], st: ReqStats) -> None:
         """Fire-and-forget wire cancels for still-pending tied losers."""
-        if not self.config.tied_cancel:
-            return
         for a in losers:
             if a.rid is None or a.proc.triggered:
                 continue

@@ -330,8 +330,6 @@ class SystemParams:
     req_hedge_max: int = 1
     #: sketch observations required before an endpoint's quantiles are used
     req_hedge_min_obs: int = 16
-    #: cancel the losing tied attempt on the wire (fabric cancel message)
-    req_tied_cancel: bool = True
     #: p50-paced backoff and per-endpoint retry budgets
     req_adaptive_retry: bool = False
     #: retries allowed per endpoint: budget_min + budget_ratio * attempts

@@ -13,8 +13,9 @@ and byte-exact, so header sizes measured by the DMA counters are real.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from enum import IntEnum
+from typing import Callable
 
 __all__ = ["FileOp", "FileRequest", "FileResponse", "FileAttr", "Errno"]
 
@@ -166,12 +167,18 @@ class FileRequest:
 class FileResponse:
     """Outcome of a file operation as sent DPU -> host.
 
-    ``attr`` is present for STAT/LOOKUP/CREATE.  ``size`` is the completed
-    byte count: bytes written for WRITE, payload bytes for READ and READDIR.
-    ``aux`` is one op-specific word: the next READDIR cookie (0 = listing
-    complete) or the DELEG_ACQUIRE grant bit.  READ data and READDIR
-    dirents travel in the PRP Read data buffer, not here.  ``data`` is
-    op-specific header bytes; no operation fills it today.
+    ``attr`` is present for STAT/LOOKUP/CREATE/MKDIR.  ``size`` is the
+    completed byte count: bytes written for WRITE, payload bytes for READ
+    and READDIR.  ``aux`` is one op-specific word: the next READDIR cookie
+    (0 = listing complete) or the DELEG_ACQUIRE grant bit.  READ data and
+    READDIR dirents travel beside the response, in the read buffer the host
+    posted.  ``data`` is op-specific header bytes; no operation fills it
+    today.
+
+    It is also the completion contract both transports share: on the DPU
+    :meth:`settle` decides what an outcome puts on the wire, on the host
+    :meth:`collect` turns it back into ``(response, payload)``.  nvme-fs
+    and virtio-fs only frame what these two decide.
     """
 
     status: Errno = Errno.OK
@@ -198,12 +205,41 @@ class FileResponse:
         payload = bytes(data[base + alen : base + alen + dlen])
         return cls(Errno(status), aux, size, attr, payload)
 
-    def wire_size(self) -> int:
-        return _RESP_FIXED.size + (_ATTR.size if self.attr is not None else 0) + len(self.data)
-
     @property
     def ok(self) -> bool:
         return self.status == Errno.OK
+
+    @property
+    def needs_header(self) -> bool:
+        """Carries more than a status and a completed byte count."""
+        return self.attr is not None or bool(self.data) or bool(self.aux)
+
+    def settle(self, payload: bytes, read_len: int) -> tuple["FileResponse", bytes]:
+        """DPU side: the response and read payload a transport sends.
+
+        An error carries its status alone and no payload.  A payload is
+        clipped to the ``read_len`` bytes of read buffer the host posted.
+        An op that returns a payload or is given read room completed
+        exactly the payload bytes delivered, so the host never reads past
+        them; any other op keeps its own count (bytes written).
+        """
+        if not self.ok:
+            return FileResponse(status=self.status), b""
+        delivered = payload[:read_len]
+        if (payload or read_len) and self.size != len(delivered):
+            return replace(self, size=len(delivered)), delivered
+        return self, delivered
+
+    def collect(
+        self, read_len: int, read: Callable[[int], bytes]
+    ) -> tuple["FileResponse", bytes]:
+        """Host side, the inverse of :meth:`settle`: ``(response, payload)``.
+
+        ``read(n)`` fetches the first ``n`` bytes of the read buffer; only
+        an OK response's completed bytes are read from it.
+        """
+        got = min(read_len, self.size) if self.ok else 0
+        return self, (read(got) if got > 0 else b"")
 
 
 def pack_dirents(entries: list[tuple[bytes, int, bool]]) -> bytes:

@@ -36,7 +36,7 @@ from ...sim.memory import MemoryArena
 from ...sim.pcie import PcieLink
 from ..filemsg import Errno, FileRequest, FileResponse
 from .queues import NvmeQueuePair
-from .sqe import Cqe, CQE_SIZE, ReqType, Sqe
+from .sqe import Cqe, CQE_SIZE, RESULT_HEADER, ReqType, Sqe
 
 __all__ = ["NvmeFsInitiator"]
 
@@ -295,17 +295,15 @@ class NvmeFsInitiator:
     ) -> Generator[Event, None, tuple[FileResponse, bytes]]:
         """Wait for one command's CQE and parse its outcome."""
         cqe: Cqe = yield pend.done
-        if cqe.result & 0x80000000:
+        if cqe.result & RESULT_HEADER:
             # Response header present: parse the FileResponse region.
             raw = self.arena.read(pend.rbuf, pend.rh_len)
             response = FileResponse.unpack(raw)
         else:
             response = FileResponse(status=Errno(cqe.status), size=cqe.result)
-        payload = b""
-        got = min(pend.read_len, response.size)
-        if got > 0 and response.ok:
-            payload = self.arena.read(pend.rbuf + pend.rh_len, got)
-        return response, payload
+        return response.collect(
+            pend.read_len, lambda n: self.arena.read(pend.rbuf + pend.rh_len, n)
+        )
 
     def _completion_handler(self, qp: NvmeQueuePair) -> Generator[Event, None, None]:
         while True:

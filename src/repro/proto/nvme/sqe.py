@@ -32,6 +32,7 @@ __all__ = [
     "NVMEFS_OPCODE",
     "SQE_SIZE",
     "CQE_SIZE",
+    "RESULT_HEADER",
     "ReqType",
     "Sqe",
     "Cqe",
@@ -41,6 +42,9 @@ __all__ = [
 NVMEFS_OPCODE = 0xA3
 SQE_SIZE = 64
 CQE_SIZE = 16
+#: CQE result bit: the FileResponse header is in the PRP Read region;
+#: clear, the result is the completed byte count
+RESULT_HEADER = 0x80000000
 
 _SQE = struct.Struct("<IIQQQQIIIIQ")
 assert _SQE.size == SQE_SIZE

@@ -44,7 +44,7 @@ from ...sim.cpu import CpuPool
 from ...sim.pcie import PcieLink
 from ..filemsg import FileRequest, FileResponse
 from .queues import NvmeQueuePair
-from .sqe import Cqe, CQE_SIZE, NVMEFS_OPCODE, Sqe, SQE_SIZE
+from .sqe import Cqe, CQE_SIZE, NVMEFS_OPCODE, RESULT_HEADER, Sqe, SQE_SIZE
 
 __all__ = ["NvmeFsTarget"]
 
@@ -139,51 +139,41 @@ class NvmeFsTarget:
         p = self.params
         # DPU CPU: parse + dispatch decision (IO_Dispatch reads DW0 bit 10).
         yield from self.dpu_cpu.execute(p.dpu_dispatch_cost, tag="nvme-tgt")
-        if self.fault_plane is not None:
-            status = self.fault_plane.nvme_error(qp.qid)
-            if status is not None:
-                # Transient device error: the command never reaches the
-                # backend; the CQE carries the failure status and the
-                # initiator is expected to retry.
-                self.transient_errors += 1
-                cqe = Cqe(
-                    cid=sqe.cid,
-                    status=int(status),
-                    result=0,
-                    sq_head=qp.dpu_sq_head & 0xFFFF,
-                    sq_id=qp.qid,
+        status = None if self.fault_plane is None else self.fault_plane.nvme_error(qp.qid)
+        if status is not None:
+            # Transient device error: the command never reaches the
+            # backend; the CQE carries the failure status and the
+            # initiator is expected to retry.
+            self.transient_errors += 1
+            response, read_payload = FileResponse(status=status), b""
+        else:
+            # ② read the write header (the FileRequest).
+            hdr = yield from self.link.dma_read(sqe.prp_write1, sqe.wh_len, tag="cmd-header")
+            request = FileRequest.unpack(hdr)
+            # ③ read the write payload (writes) ...
+            payload = b""
+            if sqe.write_len:
+                payload = yield from self.link.dma_read(
+                    sqe.prp_write1 + sqe.wh_len, sqe.write_len, tag="write-data"
                 )
-                self.commands_processed += 1
-                yield from self._complete(qp, cqe)
-                return
-        # ② read the write header (the FileRequest).
-        hdr = yield from self.link.dma_read(sqe.prp_write1, sqe.wh_len, tag="cmd-header")
-        request = FileRequest.unpack(hdr)
-        # ③ read the write payload (writes) ...
-        payload = b""
-        if sqe.write_len:
-            payload = yield from self.link.dma_read(
-                sqe.prp_write1 + sqe.wh_len, sqe.write_len, tag="write-data"
-            )
-        # Execute the operation on the DPU stacks.
-        response, read_payload = yield from self.backend(sqe, request, payload)
+            # Execute the operation on the DPU stacks.
+            response, read_payload = yield from self.backend(sqe, request, payload)
+        response, read_payload = response.settle(read_payload, sqe.read_len)
         # ... or ③' write the read payload back.
         if read_payload:
-            if len(read_payload) > sqe.read_len:
-                read_payload = read_payload[: sqe.read_len]
             yield from self.link.dma_write(
                 sqe.prp_read1 + sqe.rh_len, read_payload, tag="read-data"
             )
         # Optional response header: attributes, or an ``aux`` word (a READDIR
         # continuation cookie, a delegation grant) the CQE result cannot hold.
-        if response.attr is not None or response.data or response.aux:
+        if response.needs_header or response.size >= RESULT_HEADER:
             blob = response.pack()
             if len(blob) > sqe.rh_len:
                 raise ValueError("response header exceeds RH_len region")
             yield from self.link.dma_write(sqe.prp_read1, blob, tag="resp-header")
-            result = 0x80000000
+            result = RESULT_HEADER
         else:
-            result = (response.size if response.size else len(read_payload)) & 0x7FFFFFFF
+            result = response.size
         # ④ hand the CQE to the per-queue coalescer.
         cqe = Cqe(
             cid=sqe.cid,

@@ -39,6 +39,8 @@ class FuseOp:
     FLUSH = 25
     CREATE = 35
     READDIR = 28
+    #: file-system-specific commands with no FUSE opcode of their own
+    IOCTL = 39
 
 
 #: FUSE splits large I/O into max_write-sized requests; virtio-fs deployments

@@ -34,6 +34,7 @@ from ...sim.core import Environment, Event
 from ...sim.cpu import CpuPool
 from ...sim.memory import MemoryArena
 from ...sim.pcie import PcieLink
+from ...sim.resources import Resource
 from ..filemsg import Errno, FileOp, FileRequest, FileResponse
 from .fuse import (
     FUSE_MAX_TRANSFER,
@@ -71,6 +72,9 @@ FILEOP_TO_FUSE = {
     FileOp.RENAME: FuseOp.RENAME,
     FileOp.TRUNCATE: FuseOp.SETATTR,
     FileOp.FSYNC: FuseOp.FSYNC,
+    FileOp.FLUSH_PAGE: FuseOp.IOCTL,
+    FileOp.DELEG_ACQUIRE: FuseOp.IOCTL,
+    FileOp.DELEG_RELEASE: FuseOp.IOCTL,
 }
 
 
@@ -97,17 +101,13 @@ class VirtioFsHost:
         n = num_queues if num_queues is not None else params.virtio_num_queues
         self.rings = [VRing(env, arena, params.virtio_queue_depth) for _ in range(n)]
         self._unique = 0
-        #: unique -> (event, out_hdr_addr, out_body_room)
+        #: FUSE unique -> the submitter's completion event
         self._pending: dict[int, Event] = {}
         for ring in self.rings:
             env.process(self._used_handler(ring), name="virtio-used")
 
     def ring_for(self, submitter_id: int) -> VRing:
         return self.rings[submitter_id % len(self.rings)]
-
-    @property
-    def max_transfer(self) -> int:
-        return FUSE_MAX_TRANSFER
 
     # -- request submission -----------------------------------------------------
     def submit(
@@ -209,27 +209,20 @@ class VirtioFsHost:
         yield ring.kick.put(ring.host_avail_idx)
         try:
             yield done
-            # Parse the response written into the out descriptor.
-            # ``len`` counts every reply byte: the FileResponse body (if any)
-            # plus the payload written into the read pages.
+            # Parse the reply written into the out descriptor: an error rides
+            # in ``error``, a READ reply is raw data, and every other reply
+            # carries the FileResponse body.
             out_raw = self.arena.read(out_addr, out_room)
             out_hdr = FuseOutHeader.unpack(out_raw)
-            reply_len = out_hdr.length - FuseOutHeader.SIZE
-            got = 0
             if out_hdr.error:
                 response = FileResponse(status=Errno(-out_hdr.error))
             elif request.op == FileOp.READ:
-                response = FileResponse(size=reply_len)
-                got = reply_len
-            elif reply_len > 0:
-                response = FileResponse.unpack(out_raw[FuseOutHeader.SIZE :])
-                got = reply_len - response.wire_size()
+                response = FileResponse(size=out_hdr.length - FuseOutHeader.SIZE)
             else:
-                response = FileResponse()
-            payload = b""
-            got = min(read_len, got)
-            if got > 0 and response.ok:
-                payload = self.arena.read(out_addr + out_room, got)
+                response = FileResponse.unpack(out_raw[FuseOutHeader.SIZE :])
+            response, payload = response.collect(
+                read_len, lambda n: self.arena.read(out_addr + out_room, n)
+            )
             yield from self.host_cpu.execute(
                 self.params.fuse_request_cost * 0.4 + self.params.completion_wakeup_cost,
                 tag="fuse",
@@ -285,9 +278,7 @@ class DpfsHal:
         #: async DMA contexts the single HAL thread juggles; the thread is
         #: still the only consumer of the ring, but completions overlap —
         #: without this, real DPFS could not reach even its measured IOPS
-        from ...sim.resources import Resource as _Resource
-
-        self._contexts = _Resource(env, params.virtio_hal_pipeline)
+        self._contexts = Resource(env, params.virtio_hal_pipeline)
         for ring in rings:
             env.process(self._hal_thread(ring), name="dpfs-hal")
 
@@ -365,35 +356,33 @@ class DpfsHal:
             payload = yield from link.dma_read(
                 write_descs[0].addr, total, tag="write-data", paged=True
             )
-        # Decode FUSE back into the file-semantic request.
-        request, read_len = self._decode(hdr, body, payload)
+        # Decode FUSE back into the file-semantic request; the read room is
+        # what the device-writable data descriptors hold.
+        request = self._decode(hdr, body)
+        read_len = sum(d.len for d in read_descs)
         yield from self.dpu_cpu.execute(self.params.dpu_fuse_hal_cost, tag="dpfs-hal")
         response, read_payload = yield from self.backend(None, request, payload)
+        response, read_payload = response.settle(read_payload, read_len)
         # ⑧' write the read payload into the device-writable pages.
-        read_payload = read_payload[:read_len] if read_descs else b""
         if read_payload:
             yield from link.dma_write(
                 read_descs[0].addr, read_payload, tag="read-data", paged=True
             )
         used_len = FuseOutHeader.SIZE + len(read_payload)
-        # ⑨ write the response (fuse_out header + body).  A FUSE_READ reply is
-        # raw data, so a failed read rides in ``error``; every other reply
-        # that fills a read buffer (READDIR) always carries the body, so the
-        # host can tell the body from the payload bytes ``len`` also counts.
+        # ⑨ write the response (fuse_out header + body).  An error rides in
+        # ``error`` alone and a FUSE_READ reply is raw data; every other reply
+        # carries the FileResponse body, as FUSE answers a WRITE with
+        # ``fuse_write_out``, so the completed count reaches the host.
         resp_body = b""
-        if hdr.opcode != FuseOp.READ and (
-            response.attr is not None
-            or response.data
-            or response.aux
-            or not response.ok
-            or read_len
-        ):
+        if response.ok and hdr.opcode != FuseOp.READ:
             resp_body = response.pack()
         out = FuseOutHeader(
             FuseOutHeader.SIZE + len(resp_body) + len(read_payload),
-            -int(response.status) if not resp_body else 0,
+            -int(response.status),
             hdr.unique,
         ).pack() + resp_body
+        if len(out) > out_desc.len:
+            raise ValueError("reply exceeds the out descriptor")
         yield from link.dma_write(out_desc.addr, out, tag="resp-write")
         # ⑩ write the used ring element; ⑪ bump the used idx.
         used_at = ring.dpu_used_idx
@@ -412,22 +401,12 @@ class DpfsHal:
         yield ring.used_irq.put(hdr.unique)
 
     @staticmethod
-    def _decode(
-        hdr: FuseInHeader, body: bytes, payload: bytes
-    ) -> tuple[FileRequest, int]:
+    def _decode(hdr: FuseInHeader, body: bytes) -> FileRequest:
         """Rebuild the file-semantic request from the FUSE message."""
         if hdr.opcode == FuseOp.READ:
             rin = FuseReadIn.unpack(body)
-            return (
-                FileRequest(FileOp.READ, ino=rin.fh, offset=rin.offset, length=rin.size),
-                rin.size,
-            )
+            return FileRequest(FileOp.READ, ino=rin.fh, offset=rin.offset, length=rin.size)
         if hdr.opcode == FuseOp.WRITE:
             win = FuseWriteIn.unpack(body)
-            return (
-                FileRequest(FileOp.WRITE, ino=win.fh, offset=win.offset, length=win.size),
-                0,
-            )
-        request = FileRequest.unpack(body)
-        # READDIR fills the read buffer, as on nvme-fs: ``length`` sizes it.
-        return request, request.length if request.op == FileOp.READDIR else 0
+            return FileRequest(FileOp.WRITE, ino=win.fh, offset=win.offset, length=win.size)
+        return FileRequest.unpack(body)

@@ -159,6 +159,12 @@ class PcieLink:
         self.page_setup = page_setup
         self.stats = DmaStats()
 
+    @classmethod
+    def from_params(cls, env: Environment, host_mem: MemoryArena, p) -> "PcieLink":
+        """The link a :class:`~repro.params.SystemParams` describes."""
+        return cls(env, host_mem, latency=p.pcie_latency, bandwidth=p.pcie_bandwidth,
+                   engines=p.pcie_engines, page_setup=p.pcie_page_setup)
+
     # All methods below are *generators*: callers yield from them inside a
     # simulation process.
 

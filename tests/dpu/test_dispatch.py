@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import build_dpc_system
-from repro.dpu.dispatch import IoDispatch
+from repro.dpu.dispatch import FLAG_LOCAL, IoDispatch
 from repro.dpu.virtual import VirtualClient
 from repro.params import default_params
 from repro.proto.filemsg import Errno, FileOp, FileRequest
@@ -148,6 +148,137 @@ def test_fsync_flushes_hybrid_cache():
 
     dirty_before, dirty_after = drive(sys, app())
     assert dirty_before >= 1 and dirty_after == 0
+
+
+# ---------------------------------------------------------------- per stack
+@pytest.mark.parametrize("op", [FileOp.RENAME, FileOp.TRUNCATE, FileOp.SETATTR])
+def test_dfs_ops_outside_its_table_answer_einval(op):
+    sys = build_dpc_system(with_dfs=True)
+    sqe = Sqe(cid=1, req_type=ReqType.DISTRIBUTED)
+
+    def app():
+        resp, _ = yield from sys.dispatch.backend(
+            sqe, FileRequest(FileOp.CREATE, ino=0, name=b"f"), b""
+        )
+        ino = resp.attr.ino
+        resp, _ = yield from sys.dispatch.backend(
+            sqe,
+            FileRequest(op, ino=ino, aux_ino=0, offset=10, name=b"f", extra=b"g"),
+            b"",
+        )
+        return resp.status
+
+    assert drive(sys, app()) == Errno.EINVAL
+
+
+def test_dfs_lookup_miss_answers_enoent():
+    sys = build_dpc_system(with_dfs=True)
+    sqe = Sqe(cid=1, req_type=ReqType.DISTRIBUTED)
+
+    def app():
+        resp, _ = yield from sys.dispatch.backend(
+            sqe, FileRequest(FileOp.LOOKUP, ino=0, name=b"nobody"), b""
+        )
+        return resp
+
+    resp = drive(sys, app())
+    assert resp.status == Errno.ENOENT and resp.attr is None
+
+
+def test_local_setattr_extends_but_never_shrinks():
+    sys = build_dpc_system(with_local_nvme=True)
+    root = sys.dispatch.local_fs.root_ino
+
+    def local(op, **kw):
+        return sys.dispatch.backend(Sqe(cid=1), FileRequest(op, flags=FLAG_LOCAL, **kw), b"")
+
+    def app():
+        resp, _ = yield from local(FileOp.CREATE, ino=root, name=b"f")
+        ino = resp.attr.ino
+        resp, _ = yield from sys.dispatch.backend(
+            Sqe(cid=1),
+            FileRequest(FileOp.WRITE, ino=ino, length=4, flags=FLAG_LOCAL),
+            b"data",
+        )
+        assert resp.size == 4
+        sizes = []
+        for target in (100, 10):
+            resp, _ = yield from local(FileOp.SETATTR, ino=ino, offset=target)
+            assert resp.ok
+            st, _ = yield from local(FileOp.STAT, ino=ino)
+            sizes.append(st.attr.size)
+        return sizes
+
+    assert drive(sys, app()) == [100, 100]
+    assert sys.dispatch.local_ops >= 5 and sys.dispatch.standalone_ops == 0
+
+
+class _Recorder:
+    """Any method: logs ``(who, method, *args)`` when called and returns a
+    generator yielding nothing and returning ``results.get(method)``."""
+
+    def __init__(self, log, who, results=None):
+        self._log, self._who, self._results = log, who, results or {}
+
+    def __getattr__(self, method):
+        def call(*args):
+            self._log.append((self._who, method) + args)
+            return self._result(method)
+
+        return call
+
+    def _result(self, method):
+        yield from ()
+        return self._results.get(method)
+
+
+def _recorded(req_type, request, results=None):
+    env = Environment()
+    log = []
+    stack = _Recorder(log, "fs", results)
+    dispatch = IoDispatch(
+        env, CpuPool(env, 2), default_params(),
+        kvfs=stack, dfs_client=stack, local_fs=stack,
+        cache_ctrl=_Recorder(log, "cache"),
+    )
+    resp, _ = drive(env, dispatch.backend(Sqe(cid=1, req_type=req_type), request, b""))
+    return resp, log
+
+
+@pytest.mark.parametrize(
+    "req_type, flags, tag, sync",
+    [
+        (ReqType.STANDALONE, 0, 0, "fsync"),
+        (ReqType.DISTRIBUTED, 0, 1, "flush_metadata"),
+        (ReqType.STANDALONE, FLAG_LOCAL, None, "fsync"),
+    ],
+    ids=["kvfs", "dfs", "local"],
+)
+def test_cache_hooks_key_on_the_stack_tag_bit(req_type, flags, tag, sync):
+    _, log = _recorded(req_type, FileRequest(FileOp.FSYNC, ino=5, flags=flags))
+    flush = [("cache", "flush_all")] if tag is not None else []
+    assert [e[:2] for e in log] == flush + [("fs", sync)]
+    if req_type == ReqType.STANDALONE:
+        _, log = _recorded(req_type, FileRequest(FileOp.TRUNCATE, ino=5, offset=9, flags=flags))
+        if tag is None:
+            assert log == [("fs", "truncate", 5, 9)]
+        else:
+            assert log == [
+                ("cache", "writebacks_landed"),
+                ("fs", "truncate", 5, 9),
+                ("cache", "dif_drop_file", 5 << 1 | tag),
+            ]
+
+
+def test_dfs_none_attr_answers_enoent_and_grant_rides_aux():
+    resp, _ = _recorded(ReqType.DISTRIBUTED, FileRequest(FileOp.STAT, ino=5))
+    assert resp.status == Errno.ENOENT
+    resp, _ = _recorded(
+        ReqType.DISTRIBUTED,
+        FileRequest(FileOp.DELEG_ACQUIRE, ino=5),
+        {"acquire_file_delegation": True},
+    )
+    assert resp.ok and resp.aux == 1
 
 
 # ---------------------------------------------------------------- cache hooks
