@@ -17,7 +17,7 @@ from .layout import (
     ST_FREE,
     ST_INVALID,
 )
-from .policies import AdaptiveReadahead, ClockPolicy, LruPolicy, SequentialPrefetcher
+from .policies import AdaptiveReadahead, ClockPolicy
 
 __all__ = [
     "CacheControlPlane",
@@ -33,6 +33,4 @@ __all__ = [
     "ST_INVALID",
     "AdaptiveReadahead",
     "ClockPolicy",
-    "LruPolicy",
-    "SequentialPrefetcher",
 ]

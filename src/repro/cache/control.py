@@ -10,12 +10,13 @@ through DMA and PCIe atomics — the control/data-plane separation of paper
   writeback (compression/DIF/EC happen here in the real system), then mark
   each page clean only if nobody wrote it meanwhile (DESIGN.md §9.5).
 * **Replacement**: serve the host's "bucket full" requests by choosing a
-  victim with a pluggable policy (LRU/CLOCK shadow state lives in DPU DRAM),
+  victim with a pluggable policy (CLOCK shadow state lives in DPU DRAM),
   writing it back if dirty, and freeing it only if it is clean by then.
-* **Prefetching**: watch the host's miss notifications, detect sequential
-  streams with an adaptive (Linux-readahead-style) window, fetch ahead from
-  the backend in pipelined chunks and install pages into the host cache by
-  DMA.
+* **Prefetching and demand fills**: watch the host's miss notifications,
+  detect sequential streams with an adaptive (Linux-readahead-style) window,
+  fetch ahead from the backend in pipelined chunks, and install those pages
+  and the ones a read miss fetched into the host cache by DMA, through one
+  claim-then-install path that evicts only clean pages (DESIGN.md §9.3).
 
 **Sharding** (DESIGN.md §9): the control plane is split into
 ``params.cache_ctrl_shards`` bucket-range shards.  Each shard owns a
@@ -167,6 +168,10 @@ class CacheControlPlane:
         #: failed): nobody snapshots the page again before, and fsync parks
         #: on it instead of polling
         self._wb_inflight: dict[int, Event] = {}
+        #: entry index -> (inode, lpn, gen) snapshot of its latest write-back:
+        #: carried while the entry is in ``_wb_inflight``, landed after it
+        #: leaves; a write-back that fails leaves none (DESIGN.md §9.4)
+        self._wb_snap: dict[int, tuple[int, int, int]] = {}
         self.dif_checks = 0
         self.dif_errors = 0
         self.flushed_pages = 0
@@ -416,6 +421,8 @@ class CacheControlPlane:
             for j in range(n):
                 ents[start + j] = _unpack_entry(raw, j * ENTRY_SIZE)
         dirty = [idx for idx in locked if ents[idx]["status"] == ST_DIRTY]
+        for idx in dirty:
+            self._wb_snap[idx] = (ents[idx]["inode"], ents[idx]["lpn"], ents[idx]["gen"])
         # Pull the page data in contiguous burst reads.
         pages: dict[int, bytes] = {}
         for start, n in self._runs(dirty):
@@ -478,6 +485,7 @@ class CacheControlPlane:
         """
         if self.breaker is not None and not self.breaker.allow():
             self.writeback_skipped += 1
+            self._wb_snap.pop(idx, None)
             self._remark_dirty(idx)
             return False
         yield from self.dpu_cpu.execute(
@@ -505,6 +513,7 @@ class CacheControlPlane:
             if lock.count == 0 and lock.queue_len == 0:
                 self._wb_locks.pop(block, None)
         if failed:
+            self._wb_snap.pop(idx, None)
             self.writeback_failures += 1
             if self.breaker is not None:
                 self.breaker.record_failure()
@@ -551,31 +560,52 @@ class CacheControlPlane:
             yield self.env.all_of(pending)
 
     def _sync_shard(self, shard: _Shard) -> Generator[Event, None, int]:
-        """One burst scan names the pages owed; they go through a pipeline of
-        ``_SYNC_WINDOW`` single-page write-backs.  Pages missed (lock lost,
-        a write-back already in flight, backend failed) are retried from
-        one more scan filtered to them, after the back-off and after every
-        write-back of ours that carries one of them has landed — bounded,
-        like the loop this replaces.
+        """One burst scan names the pages owed and the snapshot each owes;
+        they go through a pipeline of ``_SYNC_WINDOW`` single-page
+        write-backs.  A page missed (lock lost, a write-back already in
+        flight, backend failed) is parked on, and owed again from one more
+        scan only while no write-back of it has landed with its snapshot
+        or a newer one — so a write-back in flight that carries it is
+        ridden, not repeated.  Bounded, like the loop this replaces.
         """
         handled = 0
-        missed: Optional[list[int]] = None
+        owed: Optional[dict[int, tuple[int, int, int]]] = None
         for _attempt in range(12):
-            if missed:
-                parked = [self._wb_inflight[i] for i in missed if i in self._wb_inflight]
+            if owed is not None:
+                parked = [self._wb_inflight[i] for i in owed if i in self._wb_inflight]
                 yield self.env.all_of([self.env.timeout(20e-6), *parked])
+                owed = {i: w for i, w in owed.items() if not self._landed(i, w)}
+                if not owed:
+                    break
             first, ents = yield from self._scan_shard(shard)
-            owed = [
-                idx
+            dirty = {
+                idx: (e["inode"], e["lpn"], e["gen"])
                 for idx, e in enumerate(ents, first)
-                if e["status"] == ST_DIRTY and (missed is None or idx in missed)
-            ]
-            todo, missed = iter(owed), []
-            lanes = [self._sync_pages(todo, missed) for _ in range(min(_SYNC_WINDOW, len(owed)))]
+                if e["status"] == ST_DIRTY
+            }
+            if owed is None:
+                owed = dirty
+            else:  # still dirty, under the key it held at the call
+                owed = {i: w for i, w in owed.items() if i in dirty and dirty[i][:2] == w[:2]}
+            todo, missed = [i for i, w in owed.items() if not self._landed(i, w)], []
+            pages = iter(todo)
+            lanes = [self._sync_pages(pages, missed) for _ in range(min(_SYNC_WINDOW, len(todo)))]
             handled += sum((yield from self._parallel(lanes)))
-            if not missed:
+            owed = {i: owed[i] for i in missed}
+            if not owed:
                 break
         return handled
+
+    def _landed(self, idx: int, want: tuple[int, int, int]) -> bool:
+        """Has a write-back of the entry landed with the snapshot ``want``
+        (inode, lpn, gen) or a newer one of that key?"""
+        got = self._wb_snap.get(idx)
+        return (
+            idx not in self._wb_inflight
+            and got is not None
+            and got[:2] == want[:2]
+            and got[2] >= want[2]
+        )
 
     def _sync_pages(self, todo, missed: list[int]) -> Generator[Event, None, int]:
         """One lane of the fsync pipeline: the next owed page, alone."""
@@ -779,19 +809,11 @@ class CacheControlPlane:
         for lpn, (idx, gen) in claimed.items():
             data = got.get(lpn)
             if data is not None:
-                installs.append(self._install_one(inode, lpn, idx, gen, data))
+                installs.append(self._install_pending(idx, gen, inode, lpn, data))
             else:
                 installs.append(self._release_pending(idx, gen, inode, lpn))
-        yield from self._parallel(installs)
-
-    def _install_one(
-        self, inode: int, lpn: int, idx: int, gen: int, data: bytes
-    ) -> Generator[Event, None, None]:
-        ok = yield from self._install_pending(idx, gen, inode, lpn, data)
-        if ok:
-            self.prefetched_pages += 1
-            self._shadow[idx] = (inode, lpn)
-            self._policy_of_idx(idx).touch(idx)
+        done = yield from self._parallel(installs)
+        self.prefetched_pages += sum(1 for ok in done if ok)
 
     def _fetch_pages(
         self, inode: int, first_lpn: int, npages: int
@@ -831,34 +853,43 @@ class CacheControlPlane:
                     got.update(dict(pages))
         return {lpn: data for lpn, data in got.items() if lpn in set(want)}
 
+    @staticmethod
+    def _holds(entries: list[tuple[int, dict]], inode: int, lpn: int, but: int = -1) -> bool:
+        """Does an entry other than ``but`` cache, or have pending, the key?"""
+        return any(
+            idx != but
+            and e["status"] in (ST_CLEAN, ST_DIRTY, ST_INVALID)
+            and (e["inode"], e["lpn"]) == (inode, lpn)
+            for idx, e in entries
+        )
+
     def _claim_pending(
         self, inode: int, lpn: int
     ) -> Generator[Event, None, Optional[tuple[int, int]]]:
-        """Grab a free entry in the key's bucket, mark it I/O-pending.
+        """Grab an entry in the key's bucket, mark it I/O-pending: the one
+        DPU-side insert, shared by read-ahead and demand fills (DESIGN.md §9.3).
 
-        A full bucket evicts a victim first (readahead pressure reclaims
-        cold pages, exactly like page-cache readahead).  The claimed entry
-        is left with an *odd* generation: it stays "mutating" for seqlock
-        readers until the install publishes data with the next even value.
+        A full bucket frees the policy's pick among its clean, unlocked
+        pages; with none, the insert is dropped — a speculative insert
+        never waits for a write-back.  The claimed entry is left with an
+        *odd* generation: it stays "mutating" for seqlock readers until the
+        install publishes data with the next even value.  Once the claim is
+        published, still under the entry lock, the bucket is read again: if
+        another entry holds the key, a host write or another claim
+        published first, and this claim is given back (DESIGN.md §9.6).
         Returns ``(entry index, that generation)``: the generation is the
         claim's identity, which the install or release must find unchanged.
         """
         lay = self.layout
         bucket = lay.bucket_of(inode, lpn)
         entries = yield from self._dma_read_bucket(bucket)
-        for _idx, e in entries:
-            if e["status"] in (ST_CLEAN, ST_DIRTY, ST_INVALID) and (
-                e["inode"], e["lpn"]
-            ) == (inode, lpn):
-                return None  # already cached or pending
+        if self._holds(entries, inode, lpn):
+            return None  # already cached or pending
+        free = [idx for idx, e in entries if e["status"] == ST_FREE and e["lock"] == LOCK_FREE]
         if not any(e["status"] == ST_FREE for _i, e in entries):
-            evicted = yield from self._evict_from_bucket(bucket)
-            if not evicted:
-                return None
-            entries = yield from self._dma_read_bucket(bucket)
-        for idx, e in entries:
-            if e["status"] != ST_FREE or e["lock"] != LOCK_FREE:
-                continue
+            victim = yield from self._evict_clean(bucket, entries)
+            free = [] if victim is None else [victim]
+        for idx in free:
             ok = yield from self.link.atomic_cas_u32(
                 lay.lock_addr(idx), LOCK_FREE, LOCK_WRITE, tag="lock-cas"
             )
@@ -876,11 +907,29 @@ class CacheControlPlane:
             yield from self.link.atomic_faa_u32(
                 lay.free_count_addr, 0xFFFFFFFF, tag="free-count"
             )
+            claim: Optional[tuple[int, int]] = (idx, gen)
+            if self._holds((yield from self._dma_read_bucket(bucket)), inode, lpn, but=idx):
+                yield from self._free_claim(idx, ent["next"], gen)
+                claim = None
             yield from self.link.atomic_cas_u32(
                 lay.lock_addr(idx), LOCK_WRITE, LOCK_FREE, tag="lock-cas"
             )
-            return idx, gen
+            return claim
         return None
+
+    def _evict_clean(
+        self, bucket: int, entries: list[tuple[int, dict]]
+    ) -> Generator[Event, None, Optional[int]]:
+        """Free the policy's pick among a bucket's clean, unlocked pages for
+        a DPU-side insert -> its index, or None; never starts a write-back."""
+        clean = [
+            idx for idx, e in entries if e["status"] == ST_CLEAN and e["lock"] == LOCK_FREE
+        ]
+        victim = self._shard_for(bucket).policy.victim(clean)
+        if victim is None or not (yield from self._free_clean(victim)):
+            return None
+        self.evictions += 1
+        return victim
 
     @staticmethod
     def _is_claim(ent: dict, gen: int, inode: int, lpn: int) -> bool:
@@ -894,7 +943,8 @@ class CacheControlPlane:
     def _install_pending(
         self, idx: int, gen: int, inode: int, lpn: int, data: bytes
     ) -> Generator[Event, None, bool]:
-        """Write the fetched page into its pending entry and mark it clean."""
+        """Write the fetched page into its pending entry and mark it clean;
+        True if it landed (the policy then tracks the page)."""
         lay = self.layout
         ok = yield from self.link.atomic_cas_u32(
             lay.lock_addr(idx), LOCK_FREE, LOCK_WRITE, tag="lock-cas"
@@ -920,6 +970,8 @@ class CacheControlPlane:
         yield from self.link.atomic_cas_u32(
             lay.lock_addr(idx), LOCK_WRITE, LOCK_FREE, tag="lock-cas"
         )
+        self._shadow[idx] = (inode, lpn)
+        self._policy_of_idx(idx).touch(idx)
         return True
 
     def _release_pending(
@@ -934,16 +986,19 @@ class CacheControlPlane:
             return
         ent = yield from self._dma_read_entry(idx)
         if self._is_claim(ent, gen, inode, lpn):
-            publish = struct.pack("<III", ST_FREE, ent["next"], _gen_even(ent["gen"]))
-            yield from self.link.dma_write(
-                lay.entry_addr(idx) + 4, publish, tag="claim-free"
-            )
-            yield from self.link.atomic_faa_u32(
-                lay.free_count_addr, 1, tag="free-count"
-            )
+            yield from self._free_claim(idx, ent["next"], gen)
         yield from self.link.atomic_cas_u32(
             lay.lock_addr(idx), LOCK_WRITE, LOCK_FREE, tag="lock-cas"
         )
+
+    def _free_claim(self, idx: int, nxt: int, gen: int) -> Generator[Event, None, None]:
+        """Give back a pending claim whose entry lock the caller holds:
+        status FREE and the next even generation in one DMA, free count +1."""
+        publish = struct.pack("<III", ST_FREE, nxt, _gen_even(gen))
+        yield from self.link.dma_write(
+            self.layout.entry_addr(idx) + 4, publish, tag="claim-free"
+        )
+        yield from self.link.atomic_faa_u32(self.layout.free_count_addr, 1, tag="free-count")
 
     def _dif_ok(self, inode: int, lpn: int, data: bytes) -> bool:
         """Verify a backend-fetched page against its flush-time guard tag."""
@@ -974,47 +1029,14 @@ class CacheControlPlane:
             self._dif.pop((inode, lpn + i), None)
 
     def fill(self, inode: int, lpn: int, data: bytes) -> Generator[Event, None, bool]:
-        """Install a page into the host cache from the DPU side (clean)."""
+        """Install a page the backend just returned into the host cache
+        (demand fill): the read-ahead's claim, then its install."""
         if not self._dif_ok(inode, lpn, data):
             return False
-        lay = self.layout
-        bucket = lay.bucket_of(inode, lpn)
-        entries = yield from self._dma_read_bucket(bucket)
-        # Already present? (raced with a demand fill)
-        for idx, e in entries:
-            if e["status"] in (ST_CLEAN, ST_DIRTY) and (e["inode"], e["lpn"]) == (inode, lpn):
-                return False
-        for idx, e in entries:
-            if e["status"] != ST_FREE or e["lock"] != LOCK_FREE:
-                continue
-            ok = yield from self.link.atomic_cas_u32(
-                lay.lock_addr(idx), LOCK_FREE, LOCK_WRITE, tag="lock-cas"
-            )
-            if not ok:
-                continue
-            # Re-check status under the lock.
-            ent = yield from self._dma_read_entry(idx)
-            if ent["status"] != ST_FREE:
-                yield from self.link.atomic_cas_u32(
-                    lay.lock_addr(idx), LOCK_WRITE, LOCK_FREE, tag="lock-cas"
-                )
-                continue
-            page = data.ljust(lay.page_size, b"\0")[: lay.page_size]
-            yield from self.link.dma_write(lay.page_addr(idx), page, tag="fill-data")
-            meta = _ENTRY.pack(
-                LOCK_WRITE, ST_CLEAN, ent["next"], _gen_even(ent["gen"]), lpn, inode
-            )
-            yield from self.link.dma_write(lay.entry_addr(idx), meta, tag="fill-meta")
-            yield from self.link.atomic_faa_u32(
-                lay.free_count_addr, 0xFFFFFFFF, tag="free-count"
-            )
-            yield from self.link.atomic_cas_u32(
-                lay.lock_addr(idx), LOCK_WRITE, LOCK_FREE, tag="lock-cas"
-            )
-            self._shadow[idx] = (inode, lpn)
-            self._policy_of_idx(idx).touch(idx)
-            return True
-        return False
+        claim = yield from self._claim_pending(inode, lpn)
+        if claim is None:
+            return False
+        return (yield from self._install_pending(*claim, inode, lpn, data))
 
     def fill_run(
         self, inode: int, first_lpn: int, pages: list[bytes]

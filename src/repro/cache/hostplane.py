@@ -284,8 +284,17 @@ class HostCachePlane:
                     self.ctrl.put(("dirty", lay.bucket_of(inode, lpn)))
                 self.ctrl.put(("touch", inode, lpn, idx))
                 return
-            # Claim a free entry in the bucket.
+            # Claim a free entry in the bucket, then look again (DESIGN.md
+            # §9.6): a DPU insert may have published the key while the claim
+            # was in flight.  The look and the publish below (status DIRTY)
+            # happen at one instant.
             idx = yield from self._claim_free(inode, lpn)
+            if idx is not None and self._find_any(inode, lpn) is not None:
+                lay.adjust_free(1)
+                lay.gen_end_write(idx)
+                lay.unlock(idx, LOCK_WRITE)
+                yield from self._atomic()
+                continue  # write into the entry that published first
             if idx is not None:
                 lay.write_page(idx, data)
                 lay.set_entry_status(idx, ST_DIRTY)

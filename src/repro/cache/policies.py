@@ -8,38 +8,9 @@ the control plane already sees — the host never spends a cycle on it.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Optional
 
-__all__ = ["LruPolicy", "ClockPolicy", "SequentialPrefetcher", "AdaptiveReadahead"]
-
-
-class LruPolicy:
-    """Exact LRU over cache entry indexes (DPU-side shadow state)."""
-
-    def __init__(self) -> None:
-        self._order: OrderedDict[int, None] = OrderedDict()
-
-    def touch(self, index: int) -> None:
-        self._order.pop(index, None)
-        self._order[index] = None
-
-    def forget(self, index: int) -> None:
-        self._order.pop(index, None)
-
-    def victim(self, candidates: list[int]) -> Optional[int]:
-        """Pick the least-recently-touched entry among ``candidates``."""
-        if not candidates:
-            return None
-        # Entries never touched are the coldest of all.
-        untracked = [i for i in candidates if i not in self._order]
-        if untracked:
-            return untracked[0]
-        cand = set(candidates)
-        for idx in self._order:
-            if idx in cand:
-                return idx
-        return candidates[0]
+__all__ = ["ClockPolicy", "AdaptiveReadahead"]
 
 
 class ClockPolicy:
@@ -70,50 +41,12 @@ class ClockPolicy:
         return candidates[0]
 
 
-class SequentialPrefetcher:
-    """Detects per-inode sequential read streams and proposes prefetches.
-
-    A stream is promoted after ``trigger`` consecutive sequential misses;
-    each subsequent sequential access extends the prefetch window ahead of
-    the reader (the mechanism behind Figure 8's 100x single-thread boost).
-    """
-
-    def __init__(self, window: int = 32, trigger: int = 2):
-        if window < 1 or trigger < 1:
-            raise ValueError("window and trigger must be >= 1")
-        self.window = window
-        self.trigger = trigger
-        #: inode -> (last lpn seen, run length, highest lpn prefetched)
-        self._streams: dict[int, tuple[int, int, int]] = {}
-
-    def observe(self, inode: int, lpn: int) -> list[int]:
-        """Record an access; return the lpns to prefetch (possibly empty)."""
-        last, run, high = self._streams.get(inode, (-2, 0, -1))
-        if lpn == last + 1:
-            run += 1
-        elif lpn == last:
-            pass  # repeated page: neither extends nor breaks the stream
-        else:
-            run = 1
-        to_fetch: list[int] = []
-        if run >= self.trigger:
-            start = max(lpn + 1, high + 1)
-            end = lpn + self.window
-            to_fetch = list(range(start, end + 1))
-            if to_fetch:
-                high = to_fetch[-1]
-        self._streams[inode] = (lpn, run, high)
-        return to_fetch
-
-    def drop(self, inode: int) -> None:
-        self._streams.pop(inode, None)
-
-
 class AdaptiveReadahead:
     """Linux-readahead-style adaptive per-inode window (DESIGN.md §9).
 
-    Differences from :class:`SequentialPrefetcher` (which keeps a fixed
-    window and is retained for compatibility):
+    A stream is promoted after ``trigger`` consecutive sequential accesses,
+    and each later sequential access extends the prefetch horizon ahead of
+    the reader:
 
     * the window **ramps**: it starts at ``init_window`` when a stream is
       promoted and doubles on every sequential observation, saturating at

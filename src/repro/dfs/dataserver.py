@@ -1,7 +1,7 @@
 """DFS data servers: stripe-unit object stores on the fabric.
 
 Each server stores erasure-coded stripe units by key and serves
-read/write/batch operations with a thread pool and service-time model.
+unit reads and writes with a thread pool and service-time model.
 Clients (or the MDS, for the standard-NFS path) address units using the
 :class:`repro.ec.StripeLayout` placement.
 """
@@ -112,27 +112,5 @@ class DataServer:
             yield self.env.timeout(p.ds_write_service)
             self.units[key] = data
             self.writes += 1
-            return "ok", MSG_OVERHEAD
-        if kind == "write_units":
-            _, items = op
-            yield self.env.timeout(
-                p.ds_write_service + 4e-6 * max(0, len(items) - 1)
-            )
-            for key, data in items:
-                self.units[key] = data
-            self.writes += len(items)
-            return "ok", MSG_OVERHEAD
-        if kind == "read_units":
-            _, keys = op
-            yield self.env.timeout(p.ds_read_service + 4e-6 * max(0, len(keys) - 1))
-            out = [self.units.get(k) for k in keys]
-            self.reads += len(keys)
-            size = MSG_OVERHEAD + sum(len(d) for d in out if d)
-            return out, size
-        if kind == "delete_units":
-            _, keys = op
-            yield self.env.timeout(p.ds_write_service)
-            for k in keys:
-                self.units.pop(k, None)
             return "ok", MSG_OVERHEAD
         raise ValueError(f"unknown data-server op {kind!r}")

@@ -1,10 +1,12 @@
 """Property tests: hybrid-cache invariants under randomized concurrency.
 
-After any interleaving of host reads/writes/invalidates with the DPU
-flusher, prefetcher, and evictions, the shared region must satisfy:
+After any interleaving of host reads/writes/invalidates with DPU demand
+fills, the flusher, prefetcher, and evictions, the shared region must
+satisfy:
 
 * free-count conservation: header ``free`` == entries with status FREE;
-* uniqueness: no two live entries hold the same <inode, lpn>;
+* uniqueness: no two live entries hold the same <inode, lpn>, whichever
+  plane inserted them;
 * quiescence: all locks released once every process finishes;
 * durability: every page ever written is either live in the cache with the
   latest data or its latest data reached the backend.
@@ -29,6 +31,7 @@ from repro.sim.cpu import CpuPool
 from repro.sim.memory import MemoryArena
 from repro.sim.pcie import PcieLink
 from repro.sim.resources import Store
+from tests.conftest import schedule_budget
 
 
 class Backend:
@@ -65,7 +68,7 @@ def build(pages=16, buckets=2):
 
 ops_strategy = st.lists(
     st.tuples(
-        st.sampled_from(["write", "read", "invalidate", "flush", "pause"]),
+        st.sampled_from(["write", "read", "fill", "invalidate", "flush", "pause"]),
         st.integers(0, 2),  # inode
         st.integers(0, 11),  # lpn
         st.integers(0, 255),  # fill byte / version
@@ -77,7 +80,7 @@ ops_strategy = st.lists(
 
 
 @settings(
-    max_examples=25,
+    schedule_budget(),
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
@@ -100,6 +103,14 @@ def test_cache_invariants_random_concurrency(ops):
                 got = yield from host.read(inode, lpn, 64)
                 if got is not None and (inode, lpn) in latest:
                     pass  # freshness asserted at quiescence
+            elif kind == "fill":
+                # A demand fill of what a read returns now (zeros if the
+                # backend never saw the page), spawned off the worker as the
+                # DPU dispatcher spawns it; the worker goes on 0-9 µs later,
+                # so its next write of the key can land anywhere in the insert.
+                data = backend.store.get((inode, lpn), bytes(64))
+                env.process(ctrl.fill(inode, lpn, data))
+                yield env.timeout(fill % 10 * 1e-6)
             elif kind == "invalidate":
                 yield from host.invalidate(inode, lpn)
                 latest.pop((inode, lpn), None)

@@ -15,7 +15,7 @@ import pytest
 from repro.cache import control
 from repro.cache.control import CacheControlPlane
 from repro.cache.hostplane import HostCachePlane
-from repro.cache.layout import CacheLayout, LOCK_WRITE, ST_DIRTY
+from repro.cache.layout import CacheLayout, LOCK_WRITE, ST_CLEAN, ST_DIRTY
 from repro.params import default_params
 from repro.sim.core import Environment
 from repro.sim.cpu import CpuPool
@@ -236,3 +236,61 @@ def test_open_breaker_returns_with_pages_still_dirty():
     assert ctrl.nshards < scans(link, before) <= 12 * ctrl.nshards
     assert ctrl.dirty_pages() == 12
     assert not backend.store and ctrl.writeback_skipped >= 12
+
+
+# -- (f) a write-back already in flight is ridden, not repeated ----------------------
+
+
+def _writeback_in_flight(lpn: int = 5):
+    """``lpn`` holds version 1, and a write-back of it is parked in the backend."""
+    env, p, link, lay, host, ctrl, backend = build()
+    backend.gates[(INO, lpn)] = gate = env.event()
+    fill(env, host, [lpn])
+    idx = host._find(INO, lpn)
+    env.process(ctrl._flush_entries([idx]))
+    env.run(until=env.now + 30e-6)
+    assert idx in ctrl._wb_inflight and backend.live and not backend.store
+    return env, link, lay, host, ctrl, backend, gate, idx
+
+
+def _open_at(env, gate, when):
+    def opener():
+        yield env.timeout(when - env.now)
+        gate.succeed()
+
+    env.process(opener())
+
+
+@pytest.mark.parametrize("rewritten", [False, True])
+def test_sync_rides_a_writeback_carrying_the_page_as_called(rewritten):
+    """The write-back in flight carries the bytes the call owes: the sweep
+    parks on it and returns when it lands, with no rescan and no second
+    write-back, even though (``rewritten``) the page was written again
+    after the call."""
+    env, link, lay, host, ctrl, backend, gate, idx = _writeback_in_flight()
+    before, flushed, t0 = link.stats.snapshot(), ctrl.flushed_pages, env.now
+    sync = env.process(ctrl.flush_all())
+    env.run(until=t0 + 20e-6)  # every shard has scanned
+    if rewritten:
+        fill(env, host, [5], version=2)
+    lands = t0 + 1e-3
+    _open_at(env, gate, lands)
+    env.run(until=sync)
+    assert ctrl.flushed_pages - flushed == 1
+    assert scans(link, before) == ctrl.nshards
+    assert lands <= env.now < lands + 20e-6
+    assert version_of(backend.store[(INO, 5)]) == 1
+    assert lay.entry_status(idx) == (ST_DIRTY if rewritten else ST_CLEAN)
+
+
+def test_sync_reflushes_a_page_whose_writeback_in_flight_is_older():
+    """The page was written again before the call: the write-back in flight
+    carries older bytes than the call owes, so the page is flushed again."""
+    env, link, lay, host, ctrl, backend, gate, idx = _writeback_in_flight()
+    fill(env, host, [5], version=2)
+    flushed = ctrl.flushed_pages
+    _open_at(env, gate, env.now + 1e-3)
+    env.run(until=env.process(ctrl.flush_all()))
+    assert ctrl.flushed_pages - flushed == 2
+    assert version_of(backend.store[(INO, 5)]) == 2
+    assert lay.entry_status(idx) == ST_CLEAN and not ctrl._wb_inflight

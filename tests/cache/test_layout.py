@@ -1,7 +1,6 @@
-"""Unit tests for the cache memory layout and policies."""
+"""Unit tests for the cache memory layout and its replacement policy."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.cache.layout import (
     CacheLayout,
@@ -14,7 +13,7 @@ from repro.cache.layout import (
     ST_DIRTY,
     ST_FREE,
 )
-from repro.cache.policies import ClockPolicy, LruPolicy, SequentialPrefetcher
+from repro.cache.policies import ClockPolicy
 from repro.sim.memory import MemoryArena
 
 
@@ -122,24 +121,6 @@ def test_index_bounds_checked():
 
 
 # ---------------------------------------------------------------- policies
-def test_lru_victim_is_least_recent():
-    p = LruPolicy()
-    for i in [1, 2, 3]:
-        p.touch(i)
-    p.touch(1)  # 2 is now coldest
-    assert p.victim([1, 2, 3]) == 2
-
-
-def test_lru_untouched_candidates_are_coldest():
-    p = LruPolicy()
-    p.touch(1)
-    assert p.victim([1, 9]) == 9
-
-
-def test_lru_empty_candidates():
-    assert LruPolicy().victim([]) is None
-
-
 def test_clock_gives_second_chance():
     p = ClockPolicy()
     p.touch(1)
@@ -152,54 +133,3 @@ def test_clock_prefers_unreferenced():
     p = ClockPolicy()
     p.touch(1)
     assert p.victim([1, 2]) == 2
-
-
-def test_prefetcher_triggers_on_sequential_run():
-    pf = SequentialPrefetcher(window=4, trigger=2)
-    assert pf.observe(1, 0) == []  # run = 1
-    got = pf.observe(1, 1)  # run = 2 -> trigger
-    assert got == [2, 3, 4, 5]
-
-
-def test_prefetcher_extends_without_refetching():
-    pf = SequentialPrefetcher(window=4, trigger=2)
-    pf.observe(1, 0)
-    pf.observe(1, 1)  # prefetched up to 5
-    got = pf.observe(1, 2)
-    assert got == [6]  # only the new horizon
-
-
-def test_prefetcher_random_access_never_triggers():
-    pf = SequentialPrefetcher(window=4, trigger=2)
-    for lpn in [10, 3, 77, 21, 5]:
-        assert pf.observe(2, lpn) == []
-
-
-def test_prefetcher_streams_are_per_inode():
-    pf = SequentialPrefetcher(window=2, trigger=2)
-    pf.observe(1, 0)
-    pf.observe(2, 1)
-    assert pf.observe(1, 1) != []  # inode 1's stream unaffected by inode 2
-
-
-def test_prefetcher_drop():
-    pf = SequentialPrefetcher(window=2, trigger=2)
-    pf.observe(1, 0)
-    pf.drop(1)
-    assert pf.observe(1, 1) == []  # stream state gone
-
-
-def test_prefetcher_repeated_page_keeps_stream():
-    pf = SequentialPrefetcher(window=2, trigger=2)
-    pf.observe(1, 0)
-    pf.observe(1, 0)  # repeat
-    assert pf.observe(1, 1) != []
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 100)), max_size=50))
-def test_prefetcher_never_suggests_behind_reader(accesses):
-    pf = SequentialPrefetcher(window=8, trigger=2)
-    for ino, lpn in accesses:
-        suggested = pf.observe(ino, lpn)
-        assert all(s > lpn for s in suggested)

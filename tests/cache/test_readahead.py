@@ -1,6 +1,7 @@
 """AdaptiveReadahead: window ramp, collapse, and fast start."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cache.policies import AdaptiveReadahead
 
@@ -89,3 +90,11 @@ def test_constructor_validation():
         AdaptiveReadahead(init_window=8, max_window=4)
     with pytest.raises(ValueError):
         AdaptiveReadahead(trigger=0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 100)), max_size=50))
+def test_never_suggests_behind_reader(accesses):
+    ra = AdaptiveReadahead(init_window=4, max_window=16)
+    for ino, lpn in accesses:
+        assert all(s > lpn for s in ra.observe(ino, lpn))

@@ -16,6 +16,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.cache.layout import ST_CLEAN, ST_DIRTY, ST_INVALID
 from repro.core.testbeds import build_dpc_system
 from repro.core.topology import build_cluster, node_endpoint
 from repro.experiments.common import measure_threads
@@ -42,7 +43,18 @@ GOLDEN_FIG2 = "5aa342586e7cc34e74bddaf3b93a005ffe5a0ac3bfad2e7897468da5d1fc24d2"
 #: 127 -> 222), fsync keeps 8 write-backs in flight per shard instead of 4
 #: (``meta-scan`` 196 -> 152), the two ``window_cores`` ratios move, and the
 #: new ``cache.write_lock_retries`` counter reads 10.
-GOLDEN_FIG8 = "c085eaef9531ff2c2df848387c6e8219a2d55f67bb5cc881f87f4fadc0b77a81"
+#: Re-pinned again when demand fills went through the read-ahead's pending
+#: claim, every insert came to publish and then look again, and ``fsync``
+#: came to ride a write-back already in flight (DESIGN.md §9.3, §9.4, §9.6):
+#: the probe's write-triggered read-ahead claims re-read their bucket and two
+#: give their claim back (``meta-scan`` 152 -> 172, ``claim-free`` 0 -> 2,
+#: ``claim-meta`` 15 -> 19, ``fill-data``/``fill-status`` 12 -> 14,
+#: ``free-count`` 15 -> 21, ``lock-cas`` 445 -> 457, ``meta-read`` 222 -> 228,
+#: ``kv.engine.gets`` 119 -> 122), the fsync sweep rescans no shard
+#: (``pcie.burst.meta-scan`` 8 -> 4 transactions), host writers retry more
+#: (``cache.write_lock_retries`` 10 -> 17), and the busy-time and
+#: ``window_cores`` ratios move with them.
+GOLDEN_FIG8 = "6030960b7865d0ffdc5bcf0d478381a1cb72e92a90ca7fbbb660015ae505b88c"
 #: FIG9 re-pinned for one new registry key only, ``cache.write_lock_retries``
 #: (0 here: the probe's writes are O_DIRECT); without it the snapshot hashes
 #: to the previous pin, ced0984b…1836.
@@ -130,6 +142,20 @@ def test_fig2_signature_matches_pre_refactor_golden():
 
 def test_fig8_signature_matches_pre_refactor_golden():
     assert probe_fig8() == GOLDEN_FIG8
+
+
+def test_fig8_probe_leaves_no_key_in_two_live_entries():
+    """The probe's read-ahead claims race its host writes; before each insert
+    published and then looked again, two keys ended up in two entries each."""
+    sys_ = build_dpc_system()
+    probe_fig8(sys_)
+    lay = sys_.cache_layout
+    live = [
+        lay.entry_key(i)
+        for i in range(lay.pages)
+        if lay.entry_status(i) in (ST_CLEAN, ST_DIRTY, ST_INVALID)
+    ]
+    assert live and len(live) == len(set(live))
 
 
 def test_fig9_signature_matches_pre_refactor_golden():
