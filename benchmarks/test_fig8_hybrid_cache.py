@@ -15,7 +15,8 @@ def test_fig8_sequential_read_prefetch(swept):
     # Single-thread: the DPU prefetcher delivers an order-of-magnitude-plus
     # boost (paper: ~100x; simulator: tens of x — see EXPERIMENTS.md).
     assert boost["read/t1/boost"] > 15
-    # 32 threads: a modest boost remains (paper: ~3x).
-    assert boost["read/t32/boost"] > 1.3
+    # 32 threads: a smaller boost remains (paper: ~3x).  Consumed stream
+    # pages going first and whole-block read-ahead took it 2.2x -> 2.66x.
+    assert boost["read/t32/boost"] > 2.4
     # The single-thread boost dwarfs the 32-thread one.
     assert boost["read/t1/boost"] > 4 * boost["read/t32/boost"]

@@ -146,6 +146,7 @@ class CacheControlPlane:
         self.readahead = AdaptiveReadahead(
             init_window=params.readahead_init_window,
             max_window=params.prefetch_window,
+            block_pages=max(1, params.kvfs_block_size // layout.page_size),
         )
         #: entry index -> (inode, lpn) shadow for policy decisions
         self._shadow: dict[int, tuple[int, int]] = {}
@@ -220,7 +221,7 @@ class CacheControlPlane:
 
     def _route(self, msg: tuple) -> None:
         kind = msg[0]
-        if kind in ("miss", "touch"):
+        if kind in ("miss", "hit", "touch"):
             bucket = self.layout.bucket_of(msg[1], msg[2])
         elif kind in ("dirty", "evict"):
             bucket = msg[1]
@@ -246,14 +247,19 @@ class CacheControlPlane:
         while True:
             msg = yield shard.mailbox.get()
             kind = msg[0]
-            if kind == "touch":
+            if kind in ("hit", "touch"):
                 _, inode, lpn, idx = msg
-                shard.policy.touch(idx)
                 self._shadow[idx] = (inode, lpn)
                 # Hits keep a sequential stream's window extending ahead of
-                # the reader (misses alone would stall once the window fills).
+                # the reader (misses alone would stall once the window fills),
+                # and a page a stream has read is the first victim (DESIGN.md
+                # §9.7); a host write ("touch") is never used once.
                 if self.prefetch_enabled:
                     self._dispatch_readahead(inode, lpn)
+                if kind == "hit" and self.prefetch_enabled and self.readahead.streaming(inode):
+                    shard.policy.used_once(idx)
+                else:
+                    shard.policy.touch(idx)
             elif kind == "dirty":
                 shard.dirty_buckets.add(msg[1])
             elif kind == "forget":
@@ -742,8 +748,7 @@ class CacheControlPlane:
         wants = self.readahead.observe(inode, lpn)
         if not wants:
             return
-        block_pages = max(1, self.params.kvfs_block_size // self.layout.page_size)
-        chunk_pages = max(block_pages, self.readahead.init_window)
+        chunk_pages = max(self.readahead.block_pages, self.readahead.init_window)
         # Dedupe page-granular against chunks already in flight (a chunk
         # only claims/installs the pages it was dispatched for).
         fresh = [w for w in wants if (inode, w) not in self._prefetch_inflight]
@@ -832,7 +837,7 @@ class CacheControlPlane:
         # answer the first wave (one fetch per block) completely; backends
         # that return only the exact page asked for get a second wave for
         # the pages the first one left uncovered.
-        block_pages = max(1, self.params.kvfs_block_size // self.layout.page_size)
+        block_pages = self.readahead.block_pages
         want = list(range(first_lpn, first_lpn + npages))
 
         def one(lpn: int) -> Generator[Event, None, Optional[list]]:
@@ -944,7 +949,8 @@ class CacheControlPlane:
         self, idx: int, gen: int, inode: int, lpn: int, data: bytes
     ) -> Generator[Event, None, bool]:
         """Write the fetched page into its pending entry and mark it clean;
-        True if it landed (the policy then tracks the page)."""
+        True if it landed (the policy then tracks the page).  The readers
+        sleeping on the entry wake as the page is published."""
         lay = self.layout
         ok = yield from self.link.atomic_cas_u32(
             lay.lock_addr(idx), LOCK_FREE, LOCK_WRITE, tag="lock-cas"
@@ -967,11 +973,14 @@ class CacheControlPlane:
         yield from self.link.dma_write(
             lay.entry_addr(idx) + 4, publish, tag="fill-status"
         )
+        # The policy tracks the page before a woken reader's touch can mark
+        # it used once.
+        self._shadow[idx] = (inode, lpn)
+        self._policy_of_idx(idx).touch(idx)
+        lay.wake_pending(idx)
         yield from self.link.atomic_cas_u32(
             lay.lock_addr(idx), LOCK_WRITE, LOCK_FREE, tag="lock-cas"
         )
-        self._shadow[idx] = (inode, lpn)
-        self._policy_of_idx(idx).touch(idx)
         return True
 
     def _release_pending(
@@ -993,11 +1002,13 @@ class CacheControlPlane:
 
     def _free_claim(self, idx: int, nxt: int, gen: int) -> Generator[Event, None, None]:
         """Give back a pending claim whose entry lock the caller holds:
-        status FREE and the next even generation in one DMA, free count +1."""
+        status FREE and the next even generation in one DMA, free count +1;
+        the readers sleeping on the entry wake (and miss)."""
         publish = struct.pack("<III", ST_FREE, nxt, _gen_even(gen))
         yield from self.link.dma_write(
             self.layout.entry_addr(idx) + 4, publish, tag="claim-free"
         )
+        self.layout.wake_pending(idx)
         yield from self.link.atomic_faa_u32(self.layout.free_count_addr, 1, tag="free-count")
 
     def _dif_ok(self, inode: int, lpn: int, data: bytes) -> bool:

@@ -46,6 +46,8 @@ _LOOKUP_COST = 0.15e-6
 #: for a snapshot or a status change (a few PCIe round trips), never across
 #: a backend round trip, so a short spin is the right wait
 _LOCK_RETRY = 0.5e-6
+#: longest a read sleeps on an I/O-pending entry before it gives up and misses
+_PENDING_WAIT = 480e-6
 
 #: sentinels for the seqlock attempt outcome
 _FALLBACK = object()  # take the locked path
@@ -186,22 +188,23 @@ class HostCachePlane:
     ) -> Generator[Event, None, Optional[bytes]]:
         lay = self.layout
         yield from self.host_cpu.execute(_LOOKUP_COST, tag="cache-host")
+        give_up = None
         while True:
             idx = self._find_any(inode, lpn)
             if idx is not None and lay.entry_status(idx) == ST_INVALID:
-                # Readahead in flight: block on the "locked page" like a page
-                # cache does, instead of issuing a duplicate backend read.
-                for _ in range(60):
-                    yield self.env.timeout(8e-6)
-                    if lay.entry_key(idx) != (inode, lpn):
-                        idx = None
-                        break
-                    if lay.entry_status(idx) in (ST_CLEAN, ST_DIRTY):
-                        break
-                else:
-                    idx = None
-                if idx is not None and lay.entry_status(idx) == ST_INVALID:
-                    idx = None
+                # Readahead in flight: sleep on the "locked page" like a page
+                # cache does, instead of issuing a duplicate backend read.  The
+                # install, the claim's release or a host write wakes us; the
+                # read's one give-up timeout then fires into nothing.
+                if give_up is None:
+                    give_up = self.env.timeout(_PENDING_WAIT)
+                if not give_up.processed:
+                    waiters = lay.pending_waiters.get(idx)
+                    if waiters is None:
+                        waiters = lay.pending_waiters[idx] = self.env.event()
+                    yield self.env.any_of([waiters, give_up])
+                    continue
+                idx = None
             if idx is None or lay.entry_status(idx) == ST_FREE:
                 self.stats.read_misses += 1
                 # Feed the prefetcher; fire-and-forget.
@@ -213,7 +216,7 @@ class HostCachePlane:
                     continue
                 if result is not _FALLBACK:
                     self.stats.read_hits += 1
-                    self.ctrl.put(("touch", inode, lpn, idx))
+                    self.ctrl.put(("hit", inode, lpn, idx))
                     return result  # type: ignore[return-value]
             # Locked path: acquire the read lock; a writer or the flusher
             # may hold it briefly.
@@ -239,7 +242,7 @@ class HostCachePlane:
                 continue  # went I/O-pending or free under our feet
             yield from self.host_cpu.execute(self.params.host_copy_per_4k, tag="cache-host")
             self.stats.read_hits += 1
-            self.ctrl.put(("touch", inode, lpn, idx))
+            self.ctrl.put(("hit", inode, lpn, idx))
             return data
 
     # -- front-end write (paper §3.3 Data Consistency) ---------------------------
@@ -271,16 +274,18 @@ class HostCachePlane:
                     continue
                 lay.gen_begin_write(idx)
                 lay.write_page(idx, data)
-                was_dirty = lay.entry_status(idx) == ST_DIRTY
+                was = lay.entry_status(idx)
                 lay.set_entry_status(idx, ST_DIRTY)
                 lay.gen_end_write(idx)
                 lay.unlock(idx, LOCK_WRITE)
+                if was == ST_INVALID:
+                    lay.wake_pending(idx)
                 yield from self._atomic()
                 yield from self.host_cpu.execute(
                     self.params.host_copy_per_4k, tag="cache-host"
                 )
                 self.stats.write_hits += 1
-                if not was_dirty:
+                if was != ST_DIRTY:
                     self.ctrl.put(("dirty", lay.bucket_of(inode, lpn)))
                 self.ctrl.put(("touch", inode, lpn, idx))
                 return

@@ -23,6 +23,7 @@ timing, so it is unit-testable in isolation.
 
 from __future__ import annotations
 
+from ..sim.core import Event
 from ..sim.memory import MemoryArena
 
 __all__ = [
@@ -100,6 +101,10 @@ class CacheLayout:
         #: are co-owned with DPU PCIe AtomicOps, so each one pays cross-PCIe
         #: coordination — the cost the seqlock read path elides)
         self.host_atomics = 0
+        #: wait queues of I/O-pending entries (Linux's page wait table):
+        #: entry index -> the one event its readers sleep on until the claim is
+        #: installed or given back.  Host bookkeeping, outside the region.
+        self.pending_waiters: dict[int, Event] = {}
         self._init_region(mode)
 
     def _init_region(self, mode: int) -> None:
@@ -226,6 +231,12 @@ class CacheLayout:
         while i != NIL:
             yield i
             i = self.entry_next(i)
+
+    def wake_pending(self, index: int) -> None:
+        """Wake the readers sleeping on a pending entry (they look again)."""
+        waiters = self.pending_waiters.pop(index, None)
+        if waiters is not None:
+            waiters.succeed()
 
     # -- page data (host-side direct view) -----------------------------------------
     def read_page(self, index: int, length: int | None = None) -> bytes:

@@ -1,5 +1,7 @@
 """Integration tests: host data plane + DPU control plane working together."""
 
+import random
+
 import pytest
 
 from repro.cache.control import CacheControlPlane
@@ -275,3 +277,111 @@ def test_control_plane_dma_traffic_only_on_control_path():
         return d.ops()
 
     assert drive(env, flow()) == 0
+
+
+def test_sequential_scan_leaves_the_hot_set_resident():
+    """Use-once (DESIGN.md §9.7): a hot set read twice survives a sequential
+    scan of twice the cache's size.  The scan's consumed pages are its own
+    first victims; plain CLOCK gave each hot page one second chance and then
+    evicted it."""
+    env, lay, host, ctrl, backend = build(pages=256, buckets=32)
+    hot = [5 + 10 * k for k in range(32)]  # never adjacent: not a stream
+    for lpn in hot:
+        backend.store[(1, lpn)] = b"h" * 4096
+    for lpn in range(2 * lay.pages):
+        backend.store[(2, lpn)] = b"s" * 4096
+
+    def read(inode, lpn):
+        """The file system's buffered read: a miss is served by the backend
+        and filled into the cache."""
+        data = yield from host.read(inode, lpn, 4096)
+        if data is None:
+            data = backend.store[(inode, lpn)]
+            yield env.timeout(5e-6)
+            yield from ctrl.fill(inode, lpn, data)
+        assert data == backend.store[(inode, lpn)]
+
+    def flow():
+        for _ in range(2):
+            for lpn in hot:
+                yield from read(1, lpn)
+        for lpn in range(2 * lay.pages):
+            yield from read(2, lpn)
+
+    drive(env, flow(), until_extra=1e-3)
+    resident = sum(host.contains(1, lpn) for lpn in hot)
+    assert resident >= 0.9 * len(hot)
+
+
+def _scan_after_hot_reads(hot_ops):
+    """Read each hot op (a list of ``(inode, lpn)`` pages) twice, then scan a
+    file of twice the cache's size sequentially; return the fraction of hot
+    pages still resident."""
+    env, lay, host, ctrl, backend = build(pages=256, buckets=32)
+    hot = [key for op in hot_ops for key in op]
+    for key in hot:
+        backend.store[key] = b"h" * 4096
+    for lpn in range(2 * lay.pages):
+        backend.store[(2, lpn)] = b"s" * 4096
+
+    def read(inode, lpn):
+        data = yield from host.read(inode, lpn, 4096)
+        if data is None:
+            data = backend.store[(inode, lpn)]
+            yield env.timeout(5e-6)
+            yield from ctrl.fill(inode, lpn, data)
+        assert data == backend.store[(inode, lpn)]
+
+    def flow():
+        for _ in range(2):
+            for op in hot_ops:
+                for key in op:
+                    yield from read(*key)
+        for lpn in range(2 * lay.pages):
+            yield from read(2, lpn)
+
+    drive(env, flow(), until_extra=1e-3)
+    return sum(host.contains(*key) for key in hot) / len(hot)
+
+
+def test_repeatedly_read_one_page_files_survive_a_scan():
+    """A one-page file opens with a fast start (offset 0 of an unseen inode);
+    its re-reads are second accesses, not stream pages (DESIGN.md §9.7)."""
+    ops = [[(100 + k, 0)] for k in range(32)]
+    assert _scan_after_hot_reads(ops) >= 0.9
+
+
+def test_hot_8k_blocks_read_at_random_survive_a_scan():
+    """Random 8 KiB reads move two consecutive pages.  The second page only
+    looks like a stream until the run passes one backend block, so hot blocks
+    keep both pages through a scan (DESIGN.md §9.7)."""
+    blocks = list(range(0, 640, 40))
+    random.Random(1).shuffle(blocks)
+    ops = [[(1, b), (1, b + 1)] for b in blocks]
+    assert _scan_after_hot_reads(ops) >= 0.9
+
+
+def test_host_writes_are_never_marked_used_once():
+    """A write stream's dirty pages keep CLOCK's second chance (evicting one
+    costs a synchronous write-back); the same pages read back as a stream are
+    marked."""
+    env, lay, host, ctrl, backend = build()
+
+    def marked():
+        return sorted(
+            lay.entry_key(idx)[1]
+            for idx in range(lay.pages)
+            if idx in ctrl._policy_of_idx(idx)._once
+        )
+
+    def flow():
+        for lpn in range(8):
+            yield from host.write(3, lpn, bytes([lpn]) * 4096)
+        yield env.timeout(50e-6)
+        assert marked() == []
+        for lpn in range(8):
+            assert (yield from host.read(3, lpn, 4096)) == bytes([lpn]) * 4096
+        yield env.timeout(50e-6)
+
+    drive(env, flow())
+    assert marked() == list(range(2, 8))

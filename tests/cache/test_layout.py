@@ -133,3 +133,26 @@ def test_clock_prefers_unreferenced():
     p = ClockPolicy()
     p.touch(1)
     assert p.victim([1, 2]) == 2
+
+
+def test_clock_picks_a_used_once_page_before_running_the_clock():
+    """A page a stream has consumed goes first, even ahead of a page the
+    clock would pick (2 is unreferenced, 3 was used once)."""
+    p = ClockPolicy()
+    p.touch(1)
+    p.touch(3)
+    p.used_once(3)
+    assert p.victim([1, 2, 3]) == 3
+    assert p.victim([1, 2]) == 2  # no used-once candidate: plain CLOCK
+
+
+def test_clock_touch_and_forget_clear_the_used_once_mark():
+    p = ClockPolicy()
+    p.touch(1)
+    p.used_once(1)
+    p.touch(1)  # a second access promotes the page
+    assert p.victim([1, 2]) == 2
+    p.used_once(2)
+    p.forget(2)  # the entry was freed: its next page starts unmarked
+    p.touch(2)
+    assert p.victim([2, 3]) == 3

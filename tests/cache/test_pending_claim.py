@@ -8,7 +8,8 @@ key each publish, then look again, so the key never ends up in two live
 entries (DESIGN.md §9.6).  A DPU insert into a full bucket evicts a clean
 page, never a dirty one.  The races are built by hand: the backend fetch is
 parked on an event, the host write starts at a fixed instant, so no load and
-no timing luck is involved.
+no timing luck is involved.  A read that finds the key pending sleeps on the
+entry and wakes at the instant the claim is installed or given back.
 """
 
 import pytest
@@ -119,6 +120,66 @@ def test_failed_fetch_does_not_free_a_reclaimed_entry():
     env.run(until=second)
     assert ctrl.prefetched_pages == 1
     assert lay.read_page(0, PAGE) == BYTES[B]
+
+
+# -- a read of a pending entry sleeps until the claim ends ----------------------------
+
+
+def publish_instants(env, ctrl, watched):
+    """Instants at which the control plane's ``watched`` DMA writes land."""
+    landed = []
+    dma_write = ctrl.link.dma_write
+
+    def traced(addr, data, tag="", paged=False):
+        yield from dma_write(addr, data, tag=tag, paged=paged)
+        if tag == watched:
+            landed.append(env.now)
+
+    ctrl.link.dma_write = traced
+    return landed
+
+
+@pytest.mark.parametrize("outcome", ["installed", "released", "overwritten"])
+def test_read_of_a_pending_entry_wakes_when_the_claim_ends(outcome):
+    """The reader finds A's read-ahead claim pending and sleeps on it.  It
+    wakes at the instant the install publishes the page (and hits), the
+    failed fetch's release frees the entry (and misses) or a host write
+    unlocks it dirty (and hits the host's bytes), not on the next tick of
+    an 8 µs poll."""
+    env, lay, host, ctrl, gates = build()
+    p = ctrl.params
+    landed = publish_instants(env, ctrl, "fill-status" if outcome == "installed" else "claim-free")
+    env.process(ctrl._prefetch_chunk(A[0], A[1], 1, {A}), name="prefetch")
+    env.run(until=env.now + 100e-6)
+    assert (lay.entry_status(0), lay.entry_key(0)) == (ST_INVALID, A)
+
+    def timed_read():
+        got = yield from host.read(*A, PAGE)
+        return got, env.now
+
+    reader = env.process(timed_read())
+    env.run(until=env.now + 13.3e-6)
+    if outcome == "installed":
+        gates[A].succeed()
+    elif outcome == "released":
+        gates[A].fail(OSError("backend down"))
+    else:
+        unlock = lay.unlock
+
+        def traced_unlock(idx, kind):
+            landed.append(env.now)
+            return unlock(idx, kind)
+
+        lay.unlock = traced_unlock
+        env.process(host.write(*A, b"W" * PAGE))
+    got, done = env.run(until=reader)
+    assert len(landed) == 1
+    if outcome == "released":
+        assert got is None
+        assert done == pytest.approx(landed[0], abs=1e-12)
+    else:
+        assert got == (BYTES[A] if outcome == "installed" else b"W" * PAGE)
+        assert done == pytest.approx(landed[0] + p.host_copy_per_4k, abs=1e-12)
 
 
 # -- publish, then look again: one key, one live entry ------------------------------

@@ -1,4 +1,5 @@
-"""AdaptiveReadahead: window ramp, collapse, and fast start."""
+"""AdaptiveReadahead: window ramp, collapse, fast start and whole-block
+proposals."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -58,6 +59,25 @@ def test_repeated_page_neither_extends_nor_breaks():
     assert ra.observe(1, 1) != []
 
 
+def test_streaming_counts_only_pages_a_stream_consumed():
+    """A page is a stream's once the access moved a run forward past its
+    first backend block: a fast start, a repeated page and a random op of one
+    block (two pages) are not, so their pages keep CLOCK's second chance."""
+    ra = AdaptiveReadahead(init_window=4, max_window=64, block_pages=2)
+    seen = []
+    for lpn in (0, 0, 0, 1, 2, 3, 3, 4, 5, 40, 41, 90, 91, 92):
+        ra.observe(1, lpn)
+        seen.append(ra.streaming(1))
+    assert seen == [
+        False, False, False,  # fast start on a one-page file, re-read twice
+        False, True, True,  # lpn 1 is still in the first block, 2 and 3 are not
+        False, False, True,  # a repeat starts the count over
+        False, False,  # a random 8 KiB op
+        False, False, True,  # a random 12 KiB op: its third page crosses a block
+    ]
+    assert not ra.streaming(2)  # an inode never seen
+
+
 def test_streams_are_per_inode():
     ra = AdaptiveReadahead(init_window=4, max_window=64)
     ra.observe(1, 0)
@@ -90,11 +110,38 @@ def test_constructor_validation():
         AdaptiveReadahead(init_window=8, max_window=4)
     with pytest.raises(ValueError):
         AdaptiveReadahead(trigger=0)
+    with pytest.raises(ValueError):
+        AdaptiveReadahead(block_pages=0)
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 100)), max_size=50))
-def test_never_suggests_behind_reader(accesses):
-    ra = AdaptiveReadahead(init_window=4, max_window=16)
+@given(
+    st.sampled_from([1, 2, 4]),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 100)), max_size=50),
+)
+def test_never_suggests_behind_reader(block_pages, accesses):
+    """Every proposal is one contiguous run that starts ahead of the reader
+    and ends on the last page of a backend block."""
+    ra = AdaptiveReadahead(init_window=4, max_window=16, block_pages=block_pages)
     for ino, lpn in accesses:
-        assert all(s > lpn for s in ra.observe(ino, lpn))
+        wants = ra.observe(ino, lpn)
+        assert all(s > lpn for s in wants)
+        if wants:
+            assert wants == list(range(wants[0], wants[-1] + 1))
+            assert (wants[-1] + 1) % block_pages == 0
+
+
+def test_saturated_stream_proposes_only_whole_blocks():
+    """A reader moving one 8 KiB block (2 pages) per step at the maximum
+    window: without rounding, each page moved the horizon by one and every
+    proposal was a single page, half a backend block."""
+    ra = AdaptiveReadahead(init_window=4, max_window=16, block_pages=2)
+    proposals = []
+    for step in range(40):
+        for lpn in (2 * step, 2 * step + 1):
+            wants = ra.observe(1, lpn)
+            if wants and ra.window_of(1) == 16 and step > 4:
+                proposals.append(wants)
+    assert proposals
+    for wants in proposals:
+        assert wants[0] % 2 == 0 and len(wants) % 2 == 0, wants

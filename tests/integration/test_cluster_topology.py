@@ -54,7 +54,18 @@ GOLDEN_FIG2 = "5aa342586e7cc34e74bddaf3b93a005ffe5a0ac3bfad2e7897468da5d1fc24d2"
 #: (``pcie.burst.meta-scan`` 8 -> 4 transactions), host writers retry more
 #: (``cache.write_lock_retries`` 10 -> 17), and the busy-time and
 #: ``window_cores`` ratios move with them.
-GOLDEN_FIG8 = "6030960b7865d0ffdc5bcf0d478381a1cb72e92a90ca7fbbb660015ae505b88c"
+#: Re-pinned again when read-ahead came to propose whole backend blocks and
+#: pages a stream has consumed became the first victims (DESIGN.md §9.3,
+#: §9.7): the probe's write-triggered read-ahead claims and installs fewer
+#: pages (``claim-meta`` 19 -> 16, ``fill-data``/``fill-status`` 14 -> 10,
+#: ``free-count`` 21 -> 18, ``lock-cas`` 457 -> 445, ``meta-read`` 228 -> 222,
+#: ``meta-scan`` 172 -> 165, ``pcie.atomics`` 478 -> 463, ``pcie.ops``
+#: 1185 -> 1146, ``pcie.reads`` 540 -> 527, ``pcie.writes`` 167 -> 156 and
+#: both byte counts), fetches less (``kv.engine.gets`` 122 -> 120,
+#: ``kv.client.ops_issued`` 772 -> 770), one host write finds its page
+#: already cached (``cache.write_hits`` 3 -> 4, ``cache.write_inserts``
+#: 93 -> 92), and the two ``window_cores`` ratios move.
+GOLDEN_FIG8 = "dd1a24bc01987af5b50ac9eabaf7c6037050d5a42e2dc0d9860e92de7752259c"
 #: FIG9 re-pinned for one new registry key only, ``cache.write_lock_retries``
 #: (0 here: the probe's writes are O_DIRECT); without it the snapshot hashes
 #: to the previous pin, ced0984b…1836.
