@@ -8,7 +8,7 @@ Clients (or the MDS, for the standard-NFS path) address units using the
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator
 
 from ..params import SystemParams
 from ..sim.core import Environment, Event
@@ -74,43 +74,50 @@ class DataServer:
         self.failed = False
         self.dropped = False
 
-    def _handle(self, msg: Message) -> Generator[Event, None, None]:
+    def _handle(self, msg: Message) -> None:
+        """Serve one unit RPC by callbacks, with no process: thread grant,
+        then service time, then store or load, release and reply."""
         if self.dropped:
             return  # crashed: the request is never answered
         if self.failed:
-            yield from self.fabric.reply(msg, ("err", "EHOSTDOWN"), MSG_OVERHEAD)
+            self.fabric.respond(msg, ("err", "EHOSTDOWN"), MSG_OVERHEAD)
             return
         if msg.rid is not None and self.endpoint.take_abandoned(msg.rid):
             # Tied-request loser cancelled on the wire: drop unanswered.
             self.cancel_drops += 1
             return
+        p = self.params
+        op = msg.payload
+        kind = op[0]
+        if kind == "read_unit":
+            service = p.ds_read_service
+        elif kind == "write_unit":
+            service = p.ds_write_service
+        else:
+            raise ValueError(f"unknown data-server op {kind!r}")
         req = self.threads.request()
-        yield req
-        try:
+
+        def granted(_event: Event) -> None:
             if msg.rid is not None and self.endpoint.take_abandoned(msg.rid):
                 # Cancel landed while queued: free the thread, skip service.
                 self.cancel_drops += 1
+                self.threads.release(req)
                 return
-            resp, size = yield from self._execute(msg.payload)
-        finally:
-            self.threads.release(req)
-        if self.dropped:
-            return  # crashed mid-service: the reply is lost with the node
-        yield from self.fabric.reply(msg, resp, size)
+            self.env.timeout(service).callbacks.append(serviced)
 
-    def _execute(self, op: tuple) -> Generator[Event, None, tuple]:
-        p = self.params
-        kind = op[0]
-        if kind == "read_unit":
-            _, key = op
-            yield self.env.timeout(p.ds_read_service)
-            data = self.units.get(key)
-            self.reads += 1
-            return data, MSG_OVERHEAD + (len(data) if data else 0)
-        if kind == "write_unit":
-            _, key, data = op
-            yield self.env.timeout(p.ds_write_service)
-            self.units[key] = data
-            self.writes += 1
-            return "ok", MSG_OVERHEAD
-        raise ValueError(f"unknown data-server op {kind!r}")
+        def serviced(_event: Event) -> None:
+            if kind == "read_unit":
+                data = self.units.get(op[1])
+                self.reads += 1
+                resp, size = data, MSG_OVERHEAD + (len(data) if data else 0)
+            else:
+                _, key, data = op
+                self.units[key] = data
+                self.writes += 1
+                resp, size = "ok", MSG_OVERHEAD
+            self.threads.release(req)
+            if self.dropped:
+                return  # crashed mid-service: the reply is lost with the node
+            self.fabric.respond(msg, resp, size)
+
+        req.callbacks.append(granted)

@@ -87,21 +87,74 @@ class StripeIO:
     def retries(self) -> int:
         return self._req.retries
 
-    # -- plumbing --------------------------------------------------------------
-    def _ds_call(
-        self, server: int, op: tuple, size: int, hedge_gen=None
-    ) -> Generator[Event, None, object]:
-        """RPC to a data server under the retry policy.
+    # -- the unit fan-out ------------------------------------------------------
+    def _fan_out(
+        self, calls: list[tuple[int, tuple, int]], strict: bool = False, hedges=None
+    ) -> Generator[Event, None, list]:
+        """Issue unit RPCs ``(server, op, size)`` in parallel; returns their
+        replies in order, an ``("err", why)`` tuple for each failed unit.
 
-        A server that stays silent through the whole retry budget is
-        indistinguishable from one that answered "down": the exhausted
-        budget surfaces as an ``("err", "ETIMEDOUT")`` reply so the EC
-        degraded-read machinery treats both identically.
+        Fail-free (no retry policy) every request is posted now and one
+        countdown event wakes the caller when the last reply lands: no
+        process per unit.  Under a policy each unit is a
+        :meth:`RequestEngine.call` process racing its deadline, retrying
+        and hedging (``hedges[i]`` builds unit ``i``'s hedge path); a
+        server that stays silent through the whole budget replies
+        ``("err", "ETIMEDOUT")``, so degraded reads treat it like one that
+        answered "down".  ``strict`` fails the fan-out with
+        :class:`StorageUnavailable` as soon as any unit fails.
         """
+        if not calls:
+            return []
+        env = self.env
+        if self.retry is not None:
+            procs = [
+                env.process(self._unit_call(server, op, size, strict, hedges and hedges[i]))
+                for i, (server, op, size) in enumerate(calls)
+            ]
+            # Seed each unit's span stack so its ds.rpc span nests under
+            # the stripe span instead of becoming an orphan root.
+            cur = self.tracer.current()
+            if cur is not None:
+                for p in procs:
+                    self.tracer.bind(p, cur)
+            results = yield env.all_of(procs)
+            return [results[p] for p in procs]
+        replies: list = [None] * len(calls)
+        done = Event(env)
+        left = len(calls)
+        t0 = env.now
+        for i, (server, op, size) in enumerate(calls):
+            dst = ds_name(server)
+            self._req.stat(dst).attempts += 1
+            span = self.tracer.span("ds.rpc", track="net", dst=dst, op=str(op[0]))
+
+            def landed(event: Event, i=i, server=server, op=op, span=span) -> None:
+                nonlocal left
+                span.finish()
+                resp = event.value
+                self._settle(op, t0, resp)
+                replies[i] = resp
+                left -= 1
+                if done.triggered:
+                    return
+                if strict and self._is_err(resp):
+                    done.fail(StorageUnavailable(f"ds{server}: {resp[1]}"))
+                elif not left:
+                    done.succeed(replies)
+
+            self.fabric.request(self.src, dst, op, size).callbacks.append(landed)
+        return (yield done)
+
+    def _unit_call(
+        self, server: int, op: tuple, size: int, strict: bool, hedge_gen
+    ) -> Generator[Event, None, object]:
+        """One unit RPC of a fan-out under the retry policy."""
         t0 = self.env.now
-        with self.tracer.span("ds.rpc", track="net", dst=ds_name(server), op=str(op[0])):
+        dst = ds_name(server)
+        with self.tracer.span("ds.rpc", track="net", dst=dst, op=str(op[0])):
             resp = yield from self._req.call(
-                ds_name(server),
+                dst,
                 op,
                 size,
                 op_label=op[0],
@@ -109,8 +162,50 @@ class StripeIO:
                 exhausted_value=("err", "ETIMEDOUT"),
                 hedge_gen=hedge_gen,
             )
-        self.sketches.observe("ds.rpc", self.env.now - t0)
+        self._settle(op, t0, resp)
+        if strict and self._is_err(resp):
+            raise StorageUnavailable(f"ds{server}: {resp[1]}")
         return resp
+
+    def _settle(self, op: tuple, t0: float, resp) -> None:
+        """Account one finished unit RPC."""
+        self.sketches.observe("ds.rpc", self.env.now - t0)
+        if not self._is_err(resp):
+            if op[0] == "read_unit":
+                self.units_read += 1
+            else:
+                self.units_written += 1
+
+    @staticmethod
+    def _is_err(resp) -> bool:
+        return isinstance(resp, tuple) and len(resp) == 2 and resp[0] == "err"
+
+    def _read_units(
+        self, locs: list, hedges=None
+    ) -> Generator[Event, None, list[tuple[bool, object]]]:
+        """Read shard locations in parallel: ``(True, data)`` per unit read
+        (zeros if never written), ``(False, server)`` per server down."""
+        replies = yield from self._fan_out(
+            [(loc.server, ("read_unit", loc.key), MSG_OVERHEAD) for loc in locs],
+            hedges=hedges,
+        )
+        zeros = bytes(self.layout.stripe_unit)
+        return [
+            (False, loc.server) if self._is_err(r) else (True, zeros if r is None else r)
+            for loc, r in zip(locs, replies)
+        ]
+
+    def _write_units(
+        self, writes: list[tuple[int, str, bytes]], strict: bool = False
+    ) -> Generator[Event, None, list[bool]]:
+        """Write ``(server, key, data)`` units in parallel; True per unit
+        written.  ``strict`` raises at the first unit that fails."""
+        replies = yield from self._fan_out(
+            [(server, ("write_unit", key, data), MSG_OVERHEAD + len(data))
+             for server, key, data in writes],
+            strict=strict,
+        )  # fmt: skip
+        return [not self._is_err(r) for r in replies]
 
     def _degraded_unit_hedge(self, file_id: int, stripe: int, shard_idx: int, server: int):
         """Hedge factory: reconstruct the unit via an EC-degraded read of
@@ -124,54 +219,6 @@ class StripeIO:
             return _gen()
 
         return factory
-
-    def _parallel(self, gens: list) -> Generator[Event, None, list]:
-        procs = [self.env.process(g) for g in gens]
-        if not procs:
-            return []
-        # Seed each spawned process's span stack so the per-unit RPC spans
-        # nest under the stripe span instead of becoming orphan roots.
-        cur = self.tracer.current()
-        if cur is not None:
-            for p in procs:
-                self.tracer.bind(p, cur)
-        results = yield self.env.all_of(procs)
-        return [results[p] for p in procs]
-
-    @staticmethod
-    def _is_err(resp) -> bool:
-        return isinstance(resp, tuple) and len(resp) == 2 and resp[0] == "err"
-
-    def _read_unit_safe(
-        self, server: int, key: str, hedge_gen=None
-    ) -> Generator[Event, None, tuple[bool, object]]:
-        """(True, data) on success; (False, server) if the server is down."""
-        data = yield from self._ds_call(
-            server, ("read_unit", key), MSG_OVERHEAD, hedge_gen=hedge_gen
-        )
-        if self._is_err(data):
-            return False, server
-        self.units_read += 1
-        return True, data if data is not None else bytes(self.layout.stripe_unit)
-
-    def _write_unit(self, server: int, key: str, data: bytes) -> Generator[Event, None, None]:
-        resp = yield from self._ds_call(
-            server, ("write_unit", key, data), MSG_OVERHEAD + len(data)
-        )
-        if self._is_err(resp):
-            raise StorageUnavailable(f"ds{server}: {resp[1]}")
-        self.units_written += 1
-
-    def _write_unit_safe(
-        self, server: int, key: str, data: bytes
-    ) -> Generator[Event, None, bool]:
-        resp = yield from self._ds_call(
-            server, ("write_unit", key, data), MSG_OVERHEAD + len(data)
-        )
-        if self._is_err(resp):
-            return False
-        self.units_written += 1
-        return True
 
     def _charge_ec(self, nbytes: int) -> Generator[Event, None, None]:
         if self.ec_charge is not None:
@@ -198,7 +245,7 @@ class StripeIO:
     ) -> Generator[Event, None, bytes]:
         lay = self.layout
         unit = lay.stripe_unit
-        gens = []
+        locs, hedges = [], []
         spans: list[tuple[int, int, int, int]] = []  # (stripe, shard, lo, hi)
         pos = offset
         end = offset + length
@@ -210,15 +257,15 @@ class StripeIO:
             lo = pos - u_file_off
             hi = min(end - u_file_off, unit)
             loc = lay.placement(file_id, stripe).shards[shard_idx]
-            hedge = None
-            if self._req.config.hedging and self.degraded_reads:
-                hedge = self._degraded_unit_hedge(
-                    file_id, stripe, shard_idx, loc.server
-                )
-            gens.append(self._read_unit_safe(loc.server, loc.key, hedge_gen=hedge))
+            locs.append(loc)
+            hedges.append(
+                self._degraded_unit_hedge(file_id, stripe, shard_idx, loc.server)
+                if self._req.config.hedging and self.degraded_reads
+                else None
+            )
             spans.append((stripe, shard_idx, lo, hi))
             pos = u_file_off + hi
-        results = yield from self._parallel(gens)
+        results = yield from self._read_units(locs, hedges)
         # Degraded fallback for any unit whose server answered EHOSTDOWN.
         out: list[bytes] = []
         degraded_cache: dict[int, bytes] = {}
@@ -247,28 +294,32 @@ class StripeIO:
         :class:`StorageUnavailable` once fewer than ``k`` shards survive.
         """
         lay = self.layout
-        pl = lay.placement(file_id, stripe)
-        gens, slots = [], []
-        for loc in pl.shards:
-            if loc.server not in dead_servers:
-                gens.append(self._read_unit_safe(loc.server, loc.key))
-                slots.append(loc.shard_index)
-        results = yield from self._parallel(gens)
-        shards: list[Optional[bytes]] = [None] * (lay.rs.k + lay.rs.m)
-        alive = 0
-        for idx, (ok, payload) in zip(slots, results):
-            if ok:
-                shards[idx] = payload
-                alive += 1
-        if alive < lay.rs.k:
-            raise StorageUnavailable(
-                f"stripe {stripe}: only {alive} of {lay.rs.k} required shards reachable"
-            )
+        shards = yield from self._read_survivors(file_id, stripe, dead_servers)
         yield from self._charge_ec(lay.stripe_size)
         self.degraded_stripes += 1
         if self.plane is not None:
             self.plane.record("degraded-read", self.src, f"f{file_id}:s{stripe}")
         return lay.decode_stripe(shards)
+
+    def _read_survivors(
+        self, file_id: int, stripe: int, dead_servers: set[int]
+    ) -> Generator[Event, None, list[Optional[bytes]]]:
+        """The stripe's shards read from every server not known dead (None
+        where a server is down); raises unless at least ``k`` arrive."""
+        lay = self.layout
+        live = [loc for loc in lay.placement(file_id, stripe).shards
+                if loc.server not in dead_servers]  # fmt: skip
+        results = yield from self._read_units(live)
+        shards: list[Optional[bytes]] = [None] * (lay.rs.k + lay.rs.m)
+        for loc, (ok, payload) in zip(live, results):
+            if ok:
+                shards[loc.shard_index] = payload
+        alive = len(shards) - shards.count(None)
+        if alive < lay.rs.k:
+            raise StorageUnavailable(
+                f"stripe {stripe}: only {alive} of {lay.rs.k} required shards reachable"
+            )
+        return shards
 
     # -- background reconstruction ---------------------------------------------
     def rebuild_stripe(
@@ -288,22 +339,7 @@ class StripeIO:
         """
         lay = self.layout
         pl = lay.placement(file_id, stripe)
-        gens, slots = [], []
-        for loc in pl.shards:
-            if loc.server not in dead_servers:
-                gens.append(self._read_unit_safe(loc.server, loc.key))
-                slots.append(loc.shard_index)
-        results = yield from self._parallel(gens)
-        shards: list[Optional[bytes]] = [None] * (lay.rs.k + lay.rs.m)
-        alive = 0
-        for idx, (ok, payload) in zip(slots, results):
-            if ok:
-                shards[idx] = payload
-                alive += 1
-        if alive < lay.rs.k:
-            raise StorageUnavailable(
-                f"stripe {stripe}: only {alive} of {lay.rs.k} required shards reachable"
-            )
+        shards = yield from self._read_survivors(file_id, stripe, dead_servers)
         missing = [
             loc for loc in pl.shards if loc.server in dead_servers or shards[loc.shard_index] is None
         ]
@@ -311,11 +347,14 @@ class StripeIO:
             return 0
         yield from self._charge_ec(lay.stripe_size)
         units = lay.encode_stripe(lay.decode_stripe(shards))
-        writes = []
-        for loc in missing:
-            target = replacement if replacement is not None else loc.server
-            writes.append(self._write_unit(target, loc.key, units[loc.shard_index]))
-        yield from self._parallel(writes)
+        yield from self._write_units(
+            [
+                (loc.server if replacement is None else replacement, loc.key,
+                 units[loc.shard_index])
+                for loc in missing
+            ],
+            strict=True,
+        )  # fmt: skip
         self.rebuilt_units += len(missing)
         if self.plane is not None:
             self.plane.record(
@@ -383,8 +422,14 @@ class StripeIO:
             gens.append(self._write_full_stripes(file_id, full))
         if len(gens) == 1:
             yield from gens[0]
-        else:
-            yield from self._parallel(gens)
+            return
+        # Stripes (not units) in parallel: each one is a fan-out of its own.
+        procs = [self.env.process(g) for g in gens]
+        cur = self.tracer.current()
+        if cur is not None:
+            for p in procs:
+                self.tracer.bind(p, cur)
+        yield self.env.all_of(procs)
 
     def _write_full_stripes(
         self, file_id: int, stripes: list[tuple[int, bytes]]
@@ -392,15 +437,15 @@ class StripeIO:
         """Encode + write a batch of full stripes in one parallel fan-out."""
         lay = self.layout
         yield from self._charge_ec(sum(len(p) for _, p in stripes))
-        gens = []
+        writes = []
         spans: list[int] = []  # owning stripe of each unit write
         for stripe, payload in stripes:
             units = lay.encode_stripe(payload)
             pl = lay.placement(file_id, stripe)
             for loc in pl.shards:
-                gens.append(self._write_unit_safe(loc.server, loc.key, units[loc.shard_index]))
+                writes.append((loc.server, loc.key, units[loc.shard_index]))
                 spans.append(stripe)
-        results = yield from self._parallel(gens)
+        results = yield from self._write_units(writes)
         failures: dict[int, int] = {}
         for stripe, ok in zip(spans, results):
             if not ok:
@@ -410,11 +455,6 @@ class StripeIO:
                 raise StorageUnavailable(
                     f"stripe {stripe}: {n} shard writes failed (tolerates {lay.rs.m})"
                 )
-
-    def _write_full_stripe(
-        self, file_id: int, stripe: int, payload: bytes
-    ) -> Generator[Event, None, None]:
-        yield from self._write_full_stripes(file_id, [(stripe, payload)])
 
     def _write_partial_stripe(
         self, file_id: int, stripe: int, offset_in_stripe: int, chunk: bytes
@@ -427,14 +467,8 @@ class StripeIO:
         last_u = (offset_in_stripe + len(chunk) - 1) // unit
         touched = list(range(first_u, last_u + 1))
         # Read old data units + old parities in parallel.
-        gens = [
-            self._read_unit_safe(pl.shards[u].server, pl.shards[u].key) for u in touched
-        ]
-        gens += [
-            self._read_unit_safe(pl.shards[rs.k + j].server, pl.shards[rs.k + j].key)
-            for j in range(rs.m)
-        ]
-        old = yield from self._parallel(gens)
+        locs = [pl.shards[u] for u in touched] + list(pl.shards[rs.k :])
+        old = yield from self._read_units(locs)
         if any(not ok for ok, _ in old):
             # Degraded RMW: rebuild the whole stripe from survivors, apply
             # the modification, and rewrite it full-stripe (writes to the
@@ -442,7 +476,7 @@ class StripeIO:
             dead = {payload for ok, payload in old if not ok}
             whole = bytearray((yield from self.read_degraded(file_id, stripe, dead)))
             whole[offset_in_stripe : offset_in_stripe + len(chunk)] = chunk
-            yield from self._write_full_stripe(file_id, stripe, bytes(whole))
+            yield from self._write_full_stripes(file_id, [(stripe, bytes(whole))])
             return
         old_units = [payload for _ok, payload in old[: len(touched)]]
         parities = [payload for _ok, payload in old[len(touched) :]]
@@ -459,12 +493,7 @@ class StripeIO:
             parities = rs.update_parity(u, old_u, new_u, parities)
             new_units.append(new_u)
         # Write new data units + parities in parallel.
-        gens = [
-            self._write_unit(pl.shards[u].server, pl.shards[u].key, nu)
-            for u, nu in zip(touched, new_units)
-        ]
-        gens += [
-            self._write_unit(pl.shards[rs.k + j].server, pl.shards[rs.k + j].key, parities[j])
-            for j in range(rs.m)
-        ]
-        yield from self._parallel(gens)
+        yield from self._write_units(
+            [(loc.server, loc.key, u) for loc, u in zip(locs, new_units + parities)],
+            strict=True,
+        )

@@ -98,6 +98,8 @@ class Kvfs:
         )
 
     def _parallel(self, gens: list) -> Generator[Event, None, list]:
+        if len(gens) == 1:
+            return [(yield from gens[0])]  # a fan-out of one needs no process
         procs = [self.env.process(g) for g in gens]
         if not procs:
             return []

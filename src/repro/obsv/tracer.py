@@ -83,6 +83,12 @@ class Span:
         self.attrs.update(attrs)
         return self
 
+    def finish(self) -> None:
+        """End and record a span that was never entered: work no process
+        waits on, such as one RPC of a fan-out its callbacks count down."""
+        self.end = self.tracer.env.now
+        self.tracer._record(self)
+
     def reparent(self, parent: Optional["Span"]) -> "Span":
         """Late parent linkage, for consumers that learn the originating
         context only after some work (e.g. the virtio HAL discovers the FUSE
@@ -238,6 +244,9 @@ class Tracer:
                 stack.remove(span)
         if not stack and span._key in self._stacks:
             del self._stacks[span._key]
+        self._record(span)
+
+    def _record(self, span: Span) -> None:
         self._spans.append(span)
         if self.sampler is not None:
             self._sample(span)
@@ -343,6 +352,9 @@ class _NullSpan:
 
     def set(self, **attrs):
         return self
+
+    def finish(self) -> None:
+        pass
 
     def reparent(self, parent):
         return self

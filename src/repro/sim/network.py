@@ -5,21 +5,28 @@ disaggregated KV store and the DFS servers.  The model is a full-bisection
 fabric: each endpoint has an ingress and an egress NIC pipe (bandwidth), and
 every message pays a one-way propagation+switching latency.
 
-An :class:`RpcEndpoint` is a node's attachment point.  A service (MDS, data
-server, KV shard) registers a handler with :meth:`RpcEndpoint.serve` and gets
-one process per request that lands; an endpoint without a handler queues
-messages in its ``inbox`` :class:`Store` for a consumer process.
+An :class:`RpcEndpoint` is a node's attachment point.  A service registers
+a handler with :meth:`RpcEndpoint.serve`.  A generator handler (MDS, KV
+shard) gets one process per request that lands; a plain callback (data
+server) runs inline at landing and chains its own events, so a request costs
+it no process.  An endpoint without a handler queues messages in its
+``inbox`` :class:`Store` for a consumer process.
+
 ``Fabric.rpc`` is the client-side helper that sends a request, waits for the
-service to reply, and returns the response payload.  Requests, replies and
-cancels all cross the fabric through one channel walk (:meth:`Fabric._walk`)
-made of event callbacks: two heap events per message, no generator resume.
+service to reply, and returns the response payload.  Under it,
+:meth:`Fabric.request` posts a request and returns the reply event, so a
+caller fanning out to many services can wait on callbacks instead of one
+process per message; :meth:`Fabric.respond` is the service side's
+counterpart of :meth:`Fabric.reply`.  Requests, replies and cancels all
+cross the fabric through one channel walk (:meth:`Fabric._walk`) made of
+event callbacks: two heap events per message, no generator resume.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Callable, Generator, Optional, Union
 
 from ..obsv.quantiles import NULL_HUB
 from .core import PRIORITY_URGENT, Environment, Event
@@ -47,6 +54,10 @@ CANCEL_SIZE = 64
 #: abandoned-rid set bound per endpoint (oldest evicted first)
 _ABANDON_CAP = 4096
 
+#: a service handler: returns a generator to run as a process, or None after
+#: handling the message inline
+Handler = Callable[["Message"], Union[Generator, None]]
+
 
 class RpcEndpoint:
     """A named service attachment point: NIC pipes plus request delivery."""
@@ -59,16 +70,22 @@ class RpcEndpoint:
         self.rx = TokenBucket(env, bandwidth, name=f"{name}-rx")
         self.messages_in = 0
         self.messages_out = 0
-        self._handler: Optional[Callable[[Message], Generator]] = None
+        self._handler: Optional[Handler] = None
         self._handler_name = ""
         #: rids cancelled by a tied-request loser; servers check-and-clear
         #: before (and after) queuing for a service thread
         self._abandoned: "OrderedDict[tuple, None]" = OrderedDict()
 
-    def serve(self, handler: Callable[[Message], Generator], name: str) -> None:
-        """Run ``handler(msg)`` as a process called ``name`` for every message
-        that lands here, so the service's thread pool — not a consumer loop —
-        is the concurrency limiter."""
+    def serve(self, handler: Handler, name: str) -> None:
+        """Call ``handler(msg)`` for every message that lands here, so the
+        service's thread pool — not a consumer loop — is the concurrency
+        limiter.
+
+        What the call returns decides how the request runs: a generator is
+        spawned as a process called ``name``; ``None`` means the handler was
+        a plain callback that has already taken the message on, chaining
+        its own events (thread grant, service time, reply) without a
+        process."""
         self._handler = handler
         self._handler_name = name
 
@@ -76,8 +93,10 @@ class RpcEndpoint:
         """A message has drained through ``rx``: hand it to the service."""
         if self._handler is None:
             self.inbox.put(msg)
-        else:
-            self.env.process(self._handler(msg), name=self._handler_name)
+            return
+        gen = self._handler(msg)
+        if gen is not None:
+            self.env.process(gen, name=self._handler_name)
 
     def abandon(self, rid: tuple) -> None:
         """Mark ``rid`` abandoned: its request should not be serviced."""
@@ -245,24 +264,50 @@ class Fabric:
     ) -> Generator[Event, None, Any]:
         """Send ``payload`` to ``dst`` and wait for the service's reply.
 
-        The service must call :meth:`reply` with the originating message.
-        Returns the reply payload.  The caller is resumed once, by the
-        reply; a request or reply the fabric drops leaves it parked, and
-        only a deadline raced against this generator gets it back.
+        The service must call :meth:`reply` (or :meth:`respond`) with the
+        originating message.  Returns the reply payload.  The caller is
+        resumed once, by the reply; a request or reply the fabric drops
+        leaves it parked, and only a deadline raced against this generator
+        gets it back.
+        """
+        return (yield self.request(src, dst, payload, req_size, rid))
+
+    def request(
+        self,
+        src: str,
+        dst: str,
+        payload: Any,
+        req_size: int,
+        rid: Optional[tuple] = None,
+    ) -> Event:
+        """Post an RPC request now and return its reply event.
+
+        The event fires (urgent) with the reply payload when the first reply
+        lands, and never if the fabric drops the request or every reply.
+        :meth:`rpc` is this plus one ``yield``; a fan-out posts many and
+        counts their replies down in callbacks, with no process per message.
         """
         reply = Event(self.env)
         self._post(Message(src, dst, payload, req_size, reply, rid))
-        return (yield reply)
+        return reply
 
     def reply(
         self, msg: Message, payload: Any, size: int
     ) -> Generator[Event, None, None]:
-        """Service-side: answer an RPC message.
+        """Service-side: answer an RPC message from a handler process.
 
-        Starts the reply's walk and returns without waiting for it to land;
-        it is a generator only so that handlers ``yield from`` it like every
-        other fabric call.  The first reply to land resumes the caller;
-        later ones (a duplicated request or reply) find it gone.
+        :meth:`respond` as a generator, so that handlers ``yield from`` it
+        like every other fabric call; it returns at once, without waiting
+        for the reply to land.
+        """
+        self.respond(msg, payload, size)
+        yield from ()
+
+    def respond(self, msg: Message, payload: Any, size: int) -> None:
+        """Service-side: start the reply's walk back to the caller.
+
+        The first reply to land fires the caller's reply event; later ones
+        (a duplicated request or reply) find it gone.
         """
         reply_to = msg.reply_to
         if reply_to is None:
@@ -275,4 +320,3 @@ class Fabric:
                 self.messages_duplicated += 1
 
         self._walk(self.endpoints[msg.dst], self.endpoints[msg.src], size, land)
-        yield from ()

@@ -86,3 +86,29 @@ def test_stripeio_matches_bytearray_model(ops):
         yield from ()
 
     env.run(until=env.process(degraded_check()))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="bug 8: two concurrent partial-stripe RMWs on one stripe both read the "
+    "old parity and write their own delta, so one delta is lost",
+)
+def test_concurrent_rmws_on_one_stripe_keep_it_recoverable():
+    env, dataservers, layout, sio = build()
+    unit = layout.stripe_unit
+    a, b = b"\xaa" * unit, b"\xbb" * unit
+
+    def rmw(offset, data):
+        yield from sio.write(FILE_ID, offset, data)
+
+    env.run(until=env.all_of([env.process(rmw(0, a)), env.process(rmw(unit, b))]))
+
+    def rebuild_unit0():
+        # lose unit 0's server: rebuild it from the survivors
+        dead = {layout.placement(FILE_ID, 0).shards[0].server}
+        whole = yield from sio.read_degraded(FILE_ID, 0, dead)
+        return whole[:unit], (yield from sio.read(FILE_ID, 0, 2 * unit))
+
+    rebuilt, direct = env.run(until=env.process(rebuild_unit0()))
+    assert direct == a + b  # the data units themselves are right
+    assert rebuilt == a

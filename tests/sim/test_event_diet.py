@@ -179,7 +179,14 @@ def test_profiler_sees_every_event_of_the_inlined_loop():
     assert rep["events"] == env._seq - len(env._queue)  # every pop went through step()
     assert rep["callbacks"] == sum(row["calls"] for row in rep["sites"])
     sites = {row["site"] for row in rep["sites"]}
-    assert "Process:dsN-req" in sites  # handlers spawned by the endpoint keep their name
+    assert "Process:mdsN-req" in sites  # handlers spawned by the endpoint keep their name
+    # a data server serves by callbacks, each attributed to its own site
+    ds_sites = {s for s in sites if s.startswith("DataServer.")}
+    assert ds_sites == {
+        "DataServer._handle.<locals>.granted",
+        "DataServer._handle.<locals>.serviced",
+    }
+    assert not any(s.startswith("Process:dsN") for s in sites)
     assert any("Fabric._walk" in s for s in sites)  # the walk's callbacks are attributed
 
 
