@@ -6,6 +6,9 @@
 * :class:`OffloadedDfsClient` — the optimized client: cached metadata view
   (direct routing to home MDSes), client-side EC + direct I/O to data
   servers, delegation caching with batched creates and lazy size updates.
+  A directory grant carries the directory's names, so under it creates and
+  lookups are answered locally until the batch commits or is recalled;
+  other clients see the new names only after the commit (BatchFS).
   The *same class* serves two roles:
 
   - instantiated over the **host** CPU pool with
@@ -20,6 +23,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Generator, Optional
 
 from ..ec import StripeLayout
@@ -284,9 +288,20 @@ class OffloadedDfsClient(_FailureAwareRpc):
             plane=plane,
             degraded_reads=degraded_reads,
         )
-        # Delegation state: dir ino -> leased inode numbers; pending creates.
+        # Directory delegations: dir ino -> leased inode numbers, the names
+        # the MDS holds there (grant listing plus landed commits), and when
+        # this client stops trusting both (no later than the MDS's lease).
         self._dir_lease: dict[int, list[int]] = {}
-        self._pending_creates: dict[int, list[tuple[bytes, int, int]]] = {}
+        self._dir_names: dict[int, set[bytes]] = {}
+        self._dir_until: dict[int, float] = {}
+        #: dir ino -> name -> create the MDS has not acknowledged yet (pending
+        #: or in flight); ``_unacked`` holds their inode numbers
+        self._pending_creates: dict[int, dict[bytes, FileAttr]] = {}
+        self._unacked: set[int] = set()
+        #: dir ino -> fires when the directory's batch in flight has landed
+        self._committing: dict[int, Event] = {}
+        #: batched creates the MDS skipped because the name was taken
+        self.batch_skips = 0
         self._file_deleg: set[int] = set()
         #: lazy size updates: ino -> size
         self._dirty_sizes: dict[int, int] = {}
@@ -336,7 +351,25 @@ class OffloadedDfsClient(_FailureAwareRpc):
         """Create under a directory delegation when possible."""
         self.ops += 1
         yield from self._charge()
-        if not self.use_delegations:
+        self._listing(p_ino)  # drops an expired grant
+        if self.use_delegations and not self._dir_lease.get(p_ino):
+            asked = self.env.now
+            resp = yield from self._rpc(
+                p_ino, ("deleg_acquire", p_ino, "dir"), MSG_OVERHEAD, mutating=True
+            )
+            if resp[0] == "granted":
+                # A grant that lands on a held lease (two first creates
+                # raced) extends it and merges the listing.
+                self._dir_lease.setdefault(p_ino, []).extend(resp[1])
+                self._dir_names.setdefault(p_ino, set()).update(resp[2])
+                self._dir_until[p_ino] = asked + self.params.deleg_lease
+        if self.use_delegations and p_ino in self._dir_lease:
+            # Local create under the delegation (BatchFS-style).
+            yield from self.cpu.execute(self.params.delegation_local_cost, tag=self.cpu_tag)
+        lease = self._dir_lease.get(p_ino)
+        if not lease:
+            # No delegation (ablation, contended or just recalled directory):
+            # synchronous create at the MDS.
             resp = yield from self._rpc(
                 p_ino, ("create", p_ino, name, mode), MSG_OVERHEAD + len(name),
                 mutating=True,
@@ -345,74 +378,86 @@ class OffloadedDfsClient(_FailureAwareRpc):
                 raise DfsError(resp[1])
             self._attr_cache[resp.ino] = resp
             return resp
-        lease = self._dir_lease.get(p_ino)
-        if lease is None:
-            resp = yield from self._rpc(
-                p_ino, ("deleg_acquire", p_ino, "dir"), MSG_OVERHEAD, mutating=True
-            )
-            status, inos = resp
-            if status == "granted":
-                self._dir_lease[p_ino] = list(inos)
-                self._pending_creates[p_ino] = []
-                lease = self._dir_lease[p_ino]
-            else:
-                # Contended directory: fall back to synchronous create.
-                resp = yield from self._rpc(
-                    p_ino, ("create", p_ino, name, mode), MSG_OVERHEAD + len(name),
-                    mutating=True,
-                )
-                if isinstance(resp, tuple) and resp and resp[0] == "err":
-                    raise DfsError(resp[1])
-                return resp
-        if not lease:
-            yield from self._commit_creates(p_ino)
-            resp = yield from self._rpc(
-                p_ino, ("deleg_acquire", p_ino, "dir"), MSG_OVERHEAD, mutating=True
-            )
-            self._dir_lease[p_ino] = list(resp[1])
-            lease = self._dir_lease[p_ino]
-        # Local create under the delegation (BatchFS-style).
-        yield from self.cpu.execute(self.params.delegation_local_cost, tag=self.cpu_tag)
+        pending = self._pending_creates.setdefault(p_ino, {})
+        if name in pending or name in self._dir_names[p_ino]:
+            raise DfsError("EEXIST")
         self.deleg_hits += 1
-        ino = lease.pop(0)
-        attr = FileAttr(ino=ino, mode=mode, nlink=1)
-        self._attr_cache[ino] = attr
-        self._pending_creates.setdefault(p_ino, []).append((name, ino, mode))
-        if len(self._pending_creates[p_ino]) >= self.params.deleg_batch:
+        attr = FileAttr(ino=lease.pop(0), mode=mode, nlink=1)
+        self._attr_cache[attr.ino] = attr
+        pending[name] = attr
+        self._unacked.add(attr.ino)
+        if len(pending) >= self.params.deleg_batch and p_ino not in self._committing:
             yield from self._commit_creates(p_ino)
         return attr
 
+    def _listing(self, p_ino: int) -> Optional[set[bytes]]:
+        """The directory's names while this client's grant on it is live;
+        an expired grant is dropped (the MDS no longer recalls it)."""
+        until = self._dir_until.get(p_ino)
+        if until is not None and self.env.now >= until:
+            self._drop_grant(p_ino)
+        return self._dir_names.get(p_ino)
+
+    def _drop_grant(self, p_ino: int) -> None:
+        for held in (self._dir_lease, self._dir_names, self._dir_until):
+            held.pop(p_ino, None)
+
     def _commit_creates(self, p_ino: int) -> Generator[Event, None, None]:
+        """Send the directory's pending creates in one batch; on return
+        every create pending at the call is at the MDS.  Entries stay
+        pending (seen by lookup and getattr) until the reply lands, and a
+        directory has one batch in flight: a later commit waits for it."""
+        while p_ino in self._committing:
+            yield self._committing[p_ino]
         pending = self._pending_creates.get(p_ino)
         if not pending:
             return
-        self._pending_creates[p_ino] = []
-        yield from self._rpc(
-            p_ino,
-            ("batch_create", p_ino, pending),
-            MSG_OVERHEAD + sum(len(n) + 16 for n, _i, _m in pending),
-            mutating=True,
-        )
+        batch = [(name, a.ino, a.mode) for name, a in pending.items()]
+        landed = self._committing[p_ino] = self.env.event()
+        try:
+            skipped = yield from self._rpc(
+                p_ino,
+                ("batch_create", p_ino, batch),
+                MSG_OVERHEAD + sum(len(n) + 16 for n, _i, _m in batch),
+                mutating=True,
+            )
+            self.batch_skips += len(skipped)
+            names = self._dir_names.get(p_ino, set())
+            for name, ino, _mode in batch:
+                pending.pop(name, None)
+                self._unacked.discard(ino)
+                names.add(name)
+        finally:
+            del self._committing[p_ino]
+            landed.succeed()
 
     def flush_metadata(self) -> Generator[Event, None, None]:
         """Push pending batched creates and size updates to the MDSes."""
         for p_ino in list(self._pending_creates):
             yield from self._commit_creates(p_ino)
-        if self._dirty_sizes:
-            by_home: dict[int, list[tuple[int, int]]] = {}
-            for ino, size in self._dirty_sizes.items():
-                by_home.setdefault(ino % self.n_mds, []).append((ino, size))
-            self._dirty_sizes = {}
-            for home, updates in by_home.items():
-                yield from self._mds_call(
-                    mds_name(home), ("batch_setsize", updates), MSG_OVERHEAD,
-                    mutating=True,
-                )
+        yield from self._flush_sizes()
+
+    def _flush_sizes(self) -> Generator[Event, None, None]:
+        # Only files the MDS knows: an unacknowledged create's size waits
+        # for its batch, so a full lazy-size table commits no directory.
+        by_home: dict[int, list[tuple[int, int]]] = {}
+        for ino in [i for i in self._dirty_sizes if i not in self._unacked]:
+            by_home.setdefault(ino % self.n_mds, []).append((ino, self._dirty_sizes.pop(ino)))
+        for home, updates in by_home.items():
+            yield from self._mds_call(
+                mds_name(home), ("batch_setsize", updates), MSG_OVERHEAD, mutating=True
+            )
 
     def lookup(self, p_ino: int, name: bytes) -> Generator[Event, None, Optional[FileAttr]]:
         self.ops += 1
         yield from self._charge(0.6, write=False)
-        yield from self._commit_creates(p_ino)
+        # Under a delegation a pending name and an absent one are answered
+        # here; only a committed name asks the MDS for its current attr.
+        pending = self._pending_creates.get(p_ino, {}).get(name)
+        names = self._listing(p_ino)
+        if pending is not None or (names is not None and name not in names):
+            self.deleg_hits += 1
+            return pending and self._attr_cache.get(pending.ino, pending)
         attr = yield from self._rpc(p_ino, ("lookup", p_ino, name), MSG_OVERHEAD + len(name))
         if attr is not None:
             self._attr_cache[attr.ino] = attr
@@ -421,15 +466,15 @@ class OffloadedDfsClient(_FailureAwareRpc):
     def getattr(self, ino: int) -> Generator[Event, None, Optional[FileAttr]]:
         self.ops += 1
         cached = self._attr_cache.get(ino)
-        if cached is not None and (ino in self._file_deleg or ino in self._dirty_sizes):
+        if cached is not None and (
+            ino in self._file_deleg or ino in self._dirty_sizes or ino in self._unacked
+        ):
             # Served from the delegation-backed cache.
             yield from self.cpu.execute(
                 self.params.delegation_local_cost, tag=self.cpu_tag
             )
             self.deleg_hits += 1
             size = max(cached.size, self._dirty_sizes.get(ino, 0))
-            import dataclasses
-
             return dataclasses.replace(cached, size=size)
         yield from self._charge(0.4, write=False)
         attr = yield from self._rpc(ino, ("getattr", ino), MSG_OVERHEAD)
@@ -452,6 +497,7 @@ class OffloadedDfsClient(_FailureAwareRpc):
         )
         if isinstance(resp, tuple) and resp and resp[0] == "err":
             raise DfsError(resp[1])
+        self._dir_names.get(p_ino, set()).discard(name)
 
     def acquire_file_delegation(self, ino: int) -> Generator[Event, None, bool]:
         """Cache a file lock/delegation (paper: lock acquire acceleration)."""
@@ -493,7 +539,7 @@ class OffloadedDfsClient(_FailureAwareRpc):
         _, kind, ino = msg.payload
         self.recalls_served += 1
         if kind == "dir":
-            self._dir_lease.pop(ino, None)
+            self._drop_grant(ino)
             yield from self._commit_creates(ino)
         else:
             self._file_deleg.discard(ino)
@@ -520,7 +566,7 @@ class OffloadedDfsClient(_FailureAwareRpc):
             if cached is None or end > max(cached.size, self._dirty_sizes.get(ino, 0)):
                 self._dirty_sizes[ino] = max(end, self._dirty_sizes.get(ino, 0))
                 if len(self._dirty_sizes) >= self.params.deleg_batch:
-                    yield from self.flush_metadata()
+                    yield from self._flush_sizes()
             return len(data)
 
     def read(self, ino: int, offset: int, length: int) -> Generator[Event, None, bytes]:

@@ -14,8 +14,11 @@ relays reads — both through the shared :class:`StripeIO` engine with MDS
 service time attached.
 
 Delegations: an MDS grants a directory or file delegation to one client at
-a time; a directory grant carries an inode-number lease so the client can
-create files locally and batch-commit them (BatchFS-style).  Grants are
+a time; a directory grant carries an inode-number lease and the directory's
+current names, so the client can create files locally, batch-commit them
+(BatchFS-style) and answer lookups of names it knows or knows are absent.
+A ``create`` or ``unlink`` from any other client first recalls the holder,
+so the holder's listing is never stale.  Grants are
 **time-bounded**: a delegation expires ``deleg_lease`` simulated seconds
 after acquisition, so a crashed or silent client cannot pin a directory
 forever — the next contender's acquire recalls the stale grant.
@@ -197,6 +200,8 @@ class MdsServer:
             return attr, MSG_OVERHEAD + 64
         if kind == "create":
             _, p_ino, name, mode = op
+            if (p_ino, name) not in self.dentries:  # a taken name is in every listing
+                yield from self._recall_dir(p_ino, client)
             if (p_ino, name) in self.dentries:
                 return ("err", "EEXIST"), MSG_OVERHEAD
             ino = self._alloc_ino()
@@ -207,13 +212,13 @@ class MdsServer:
         if kind == "batch_create":
             _, p_ino, entries = op  # [(name, ino, mode)] from a delegation lease
             yield self.env.timeout(p.mds_service * 0.1 * len(entries))
-            created = []
+            skipped = []  # names another inode already holds
             for name, ino, mode in entries:
-                if (p_ino, name) not in self.dentries:
-                    self.dentries[(p_ino, name)] = ino
+                if self.dentries.setdefault((p_ino, name), ino) != ino:
+                    skipped.append(name)
+                else:
                     self.attrs.setdefault(ino, FileAttr(ino=ino, mode=mode, nlink=1))
-                    created.append(ino)
-            return created, MSG_OVERHEAD
+            return skipped, MSG_OVERHEAD
         if kind == "getattr":
             _, ino = op
             attr = self.attrs.get(ino)
@@ -240,6 +245,7 @@ class MdsServer:
             return entries, MSG_OVERHEAD + sum(len(n) + 8 for n, _ in entries)
         if kind == "unlink":
             _, p_ino, name = op
+            yield from self._recall_dir(p_ino, client)
             ino = self.dentries.pop((p_ino, name), None)
             if ino is None:
                 return ("err", "ENOENT"), MSG_OVERHEAD
@@ -252,7 +258,7 @@ class MdsServer:
             now = self.env.now
             if entry is not None and entry[0] != client:
                 if entry[1] > now:
-                    return ("denied", []), MSG_OVERHEAD
+                    return ("denied", [], []), MSG_OVERHEAD
                 # Lease expired: recall the stale grant from its (crashed or
                 # silent) owner and hand the delegation to the contender.
                 # The recall makes a live owner push pending state (batched
@@ -262,8 +268,10 @@ class MdsServer:
                 self.recalls += 1
                 yield from self._recall(key_kind, key_ino, entry[0])
             self.delegations[key] = (client, now + p.deleg_lease)
-            lease = self._alloc_ino_range(64) if key_kind == "dir" else []
-            return ("granted", lease), MSG_OVERHEAD
+            is_dir = key_kind == "dir"
+            lease = self._alloc_ino_range(64) if is_dir else []
+            names = [n for pi, n in self.dentries if pi == key_ino] if is_dir else []
+            return ("granted", lease, names), MSG_OVERHEAD + sum(len(n) + 2 for n in names)
         if kind == "deleg_release":
             _, key_ino, key_kind = op
             self.delegations.pop((key_kind, key_ino), None)
@@ -284,24 +292,38 @@ class MdsServer:
             return data, MSG_OVERHEAD + len(data)
         raise ValueError(f"unknown MDS op {kind!r}")
 
-    def _recall(self, kind: str, ino: int, owner: str) -> Generator[Event, None, None]:
+    def _recall(self, kind: str, ino: int, owner: str) -> Generator[Event, None, bool]:
         """Synchronously recall a delegation from ``owner`` with a deadline.
 
         The owner's client serves ``("deleg_recall", kind, ino)`` on its
         fabric endpoint (see ``OffloadedDfsClient._serve_recalls``) and acks
         once pending metadata is committed and cached pages are dropped.
+        Returns whether the owner acked.
         """
         if owner not in self.fabric.endpoints:
-            return  # owner never attached (or a test stub): nothing to recall
+            return True  # owner never attached (or a test stub): nothing to recall
         # One deadline-bounded attempt; a timeout means the owner crashed or
         # is unreachable — proceed on lease expiry.
-        yield from self._req.call(
+        acked = yield from self._req.call(
             owner,
             ("deleg_recall", kind, ino),
             MSG_OVERHEAD,
             on_exhausted="return",
             exhaust_kind=None,
         )
+        return acked is not None
+
+    def _recall_dir(self, p_ino: int, client: str) -> Generator[Event, None, None]:
+        """Recall any other client's delegation on ``p_ino`` before a
+        mutation of it runs here.  A grant ends when its holder acks, or
+        unanswered once its lease is over (the holder's listing lapses
+        then); until then the recall is sent again."""
+        key = ("dir", p_ino)
+        while (entry := self.delegations.get(key)) is not None and entry[0] != client:
+            self.recalls += 1
+            acked = yield from self._recall("dir", p_ino, entry[0])
+            if (acked or self.env.now >= entry[1]) and self.delegations.get(key) == entry:
+                del self.delegations[key]
 
     def expire_client(self, client: str) -> int:
         """Force-revoke every delegation ``client`` holds (client failure).

@@ -5,7 +5,9 @@ the VFS charges syscall cost, resolves paths component-by-component through
 a dentry cache (so hot lookups don't hit the backend — the paper notes KVFS
 "is compatible with VFS, thus the inode cache and dentry cache can also be
 used to speed up the file or directory lookups"), and forwards to whichever
-adapter owns the longest-matching mount prefix.
+adapter owns the longest-matching mount prefix.  ``open(O_CREAT)`` of a name
+the dentry cache does not know is an atomic open: CREATE first, LOOKUP only
+if that says EEXIST, so creating a file costs one command.
 """
 
 from __future__ import annotations
@@ -108,17 +110,27 @@ class Vfs:
         yield from self._syscall()
         prefix, adapter, rel = self._mount_of(path)
         p_ino, name = yield from self._resolve(prefix, adapter, rel, parent_only=True)
+        key = (prefix, "/" + rel.strip("/"))
         attr = None
-        try:
-            attr = yield from adapter.lookup(p_ino, name)
-        except FsError as e:
-            if e.errno_code != Errno.ENOENT or not flags & O_CREAT:
-                raise
+        if flags & O_CREAT and key not in self._dcache:
+            # Atomic open: an uncached name is created first, so a fresh file
+            # costs one command; on EEXIST the LOOKUP below opens it.
+            try:
+                attr = yield from adapter.create(p_ino, name, mode)
+            except FsError as e:
+                if e.errno_code != Errno.EEXIST:
+                    raise
+        if attr is None:
+            try:
+                attr = yield from adapter.lookup(p_ino, name)
+            except FsError as e:
+                if e.errno_code != Errno.ENOENT or not flags & O_CREAT:
+                    raise
         if attr is None:
             if not flags & O_CREAT:
                 raise FsError(Errno.ENOENT, path)
             attr = yield from adapter.create(p_ino, name, mode)
-        self._dcache[(prefix, "/" + rel.strip("/"))] = (attr.ino, attr.is_dir)
+        self._dcache[key] = (attr.ino, attr.is_dir)
         of = OpenFile(self._next_fd, adapter, attr.ino, flags, path)
         self._next_fd += 1
         self._fds[of.fd] = of

@@ -88,36 +88,43 @@ def test_delegation_grant_conflict_release_cycle():
     env, p, fabric, mds, *_ = build()
     fabric.attach("other")
     home = mds.home_of(DFS_ROOT_INO)
-    status, lease = rpc(env, fabric, home, ("deleg_acquire", DFS_ROOT_INO, "dir"))
-    assert status == "granted" and len(lease) == 64
+    status, lease, names = rpc(env, fabric, home, ("deleg_acquire", DFS_ROOT_INO, "dir"))
+    assert status == "granted" and len(lease) == 64 and names == []
 
     def other_acquire():
         return (yield from fabric.rpc("other", home, ("deleg_acquire", DFS_ROOT_INO, "dir"), MSG))
 
-    status2, lease2 = env.run(until=env.process(other_acquire()))
-    assert status2 == "denied" and lease2 == []
+    status2, lease2, names2 = env.run(until=env.process(other_acquire()))
+    assert status2 == "denied" and lease2 == [] and names2 == []
     # Release, then the other client can get it.
     rpc(env, fabric, home, ("deleg_release", DFS_ROOT_INO, "dir"))
-    status3, _ = env.run(until=env.process(other_acquire()))
+    status3, _, _ = env.run(until=env.process(other_acquire()))
     assert status3 == "granted"
 
 
 def test_dir_delegation_lease_inos_are_home_local():
     env, p, fabric, mds, *_ = build()
     home_idx = DFS_ROOT_INO % p.n_mds
-    _status, lease = rpc(env, fabric, mds_name(home_idx), ("deleg_acquire", DFS_ROOT_INO, "dir"))
+    _status, lease, _names = rpc(
+        env, fabric, mds_name(home_idx), ("deleg_acquire", DFS_ROOT_INO, "dir")
+    )
     assert all(ino % p.n_mds == home_idx for ino in lease)
 
 
 def test_batch_create_installs_leased_inos():
     env, p, fabric, mds, *_ = build()
     home = mds.home_of(DFS_ROOT_INO)
-    _s, lease = rpc(env, fabric, home, ("deleg_acquire", DFS_ROOT_INO, "dir"))
+    _s, lease, _names = rpc(env, fabric, home, ("deleg_acquire", DFS_ROOT_INO, "dir"))
     entries = [(f"leased{i}".encode(), lease[i], 0o100644) for i in range(4)]
-    created = rpc(env, fabric, home, ("batch_create", DFS_ROOT_INO, entries))
-    assert sorted(created) == sorted(lease[:4])
+    skipped = rpc(env, fabric, home, ("batch_create", DFS_ROOT_INO, entries))
+    assert skipped == []
     listing = rpc(env, fabric, home, ("readdir", DFS_ROOT_INO))
-    assert len(listing) == 4
+    assert sorted(ino for _name, ino in listing) == sorted(lease[:4])
+    # A re-sent entry is a no-op; a name another inode holds is skipped.
+    clash = [(b"leased0", lease[0], 0o100644), (b"leased1", lease[5], 0o100644)]
+    assert rpc(env, fabric, home, ("batch_create", DFS_ROOT_INO, clash)) == [b"leased1"]
+    _s, _lease, names = rpc(env, fabric, home, ("deleg_acquire", DFS_ROOT_INO, "dir"))
+    assert sorted(names) == [f"leased{i}".encode() for i in range(4)]
 
 
 def test_write_small_does_server_side_ec():

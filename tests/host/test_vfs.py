@@ -188,3 +188,55 @@ def test_resolve_intermediate_missing_component():
             return e.errno_code
 
     assert sys.run_until(app()) == Errno.ENOENT
+
+
+# -- atomic open: CREATE first for a name the dentry cache does not know ---------------
+def _dpc_with_local_and_dfs():
+    return build_dpc_system(with_dfs=True, with_local_nvme=True)
+
+
+@pytest.mark.parametrize("mount", ["/kvfs", "/dfs", "/local"])
+def test_fresh_name_open_creat_is_one_command(mount):
+    sys = _dpc_with_local_and_dfs()
+    path = f"{mount}/fresh"
+
+    def app():
+        before = sys.tgt.commands_processed
+        f = yield from sys.vfs.open(path, O_CREAT)
+        return f, sys.tgt.commands_processed - before
+
+    f, commands = sys.run_until(app())
+    assert commands == 1
+    assert sys.vfs._dcache[(mount, "/fresh")][0] == f.ino
+
+
+def _virtio_mount(sys):
+    """Mount the KVFS stack a second time, over virtio-fs, at ``/virtio``."""
+    from repro.host.fsadapter import DpfsAdapter
+    from repro.proto.virtio.virtiofs import DpfsHal, VirtioFsHost
+
+    host = VirtioFsHost(sys.env, sys.arena, sys.link, sys.host_cpu, sys.params, num_queues=1)
+    DpfsHal(sys.env, sys.link, sys.dpu_cpu, sys.params, host.rings, sys.dispatch.backend)
+    sys.vfs.mount("/virtio", DpfsAdapter(sys.env, host, sys.host_cpu, sys.params))
+
+
+@pytest.mark.parametrize("mount", ["/kvfs", "/dfs", "/local", "/virtio", "/mnt"])
+def test_open_creat_of_existing_uncached_name_opens_it(mount):
+    """The name exists, the dentry cache has never seen it: CREATE answers
+    EEXIST and the LOOKUP that follows opens the existing inode."""
+    if mount == "/mnt":
+        sys = build_ext4_system()
+    else:
+        sys = _dpc_with_local_and_dfs()
+        _virtio_mount(sys)
+    _, adapter, _ = sys.vfs._mount_of(mount)
+
+    def app():
+        made = yield from adapter.create(adapter.root_ino, b"old", 0o644)
+        f = yield from sys.vfs.open(f"{mount}/old", O_CREAT | O_DIRECT)
+        yield from sys.vfs.write(f, 0, b"s" * 4096)
+        again = yield from sys.vfs.open(f"{mount}/old", O_DIRECT)
+        return made.ino, f.ino, (yield from sys.vfs.read(again, 0, 4096))
+
+    made, opened, data = sys.run_until(app())
+    assert opened == made and data == b"s" * 4096

@@ -23,8 +23,11 @@ BLOCK = 8192
 FILE_SIZE = 4 << 20
 
 #: registry-snapshot signature of the pre-striping single-SSD ext4 testbed
-#: at seed 42 (captured before this refactor; see module docstring)
-GOLDEN_FIG7_EXT4 = "3e75f40bb26bc9007995590ce25ba983310b8251e65c1678f6457650e416b61c"
+#: at seed 42 (captured before this refactor; see module docstring).
+#: Re-pinned when ``open(O_CREAT)`` of a name the dentry cache does not know
+#: started sending CREATE alone: the probe's file creation skips its LOOKUP.
+#: With the LOOKUP put back the run hashes to the previous pin, 3e75f40b…6b61c.
+GOLDEN_FIG7_EXT4 = "8844a9ed44845089738c833f53e30ac355eb0f5bc2df9f841cec862dd7b3338d"
 
 
 def _signature(obj) -> str:
