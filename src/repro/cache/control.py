@@ -1025,10 +1025,6 @@ class CacheControlPlane:
             return False
         return True
 
-    def dif_drop(self, inode: int, lpn: int) -> None:
-        """Forget a page's guard tag (direct writes bypass the flusher)."""
-        self._dif.pop((inode, lpn), None)
-
     def dif_drop_file(self, inode: int) -> None:
         """Forget every guard tag of a file (truncate/unlink)."""
         for key in [k for k in self._dif if k[0] == inode]:

@@ -31,6 +31,15 @@ __all__ = ["StripeIO", "StorageUnavailable"]
 #: optional generator hook charging CPU for EC over ``nbytes``
 EcCharge = Optional[Callable[[int], Generator]]
 
+#: Stripes of one full-stripe write allowed in the endpoint's egress pipe at
+#: once: stripe i is posted when stripe i - 2 has left it.  One stripe drains
+#: while the next is encoded, so the NIC does not idle behind the EC math,
+#: and a small stripe op posted meanwhile queues behind two stripes of each
+#: bulk write, not all of them (Linux's TCP Small Queues bounds a bulk flow's
+#: device backlog the same way).  A one-stripe window shares the NIC too
+#: evenly among bulk writes: ``dfs_ec`` op p999 rose up to 14 %.
+TX_WINDOW = 2
+
 
 class StorageUnavailable(RuntimeError):
     """More shards lost than the EC geometry can tolerate."""
@@ -88,52 +97,68 @@ class StripeIO:
         return self._req.retries
 
     # -- the unit fan-out ------------------------------------------------------
+    def _post_unit(
+        self, server: int, op: tuple, size: int, landed, hedge=None, posted=None
+    ) -> None:
+        """Post one unit RPC ``(server, op, size)`` now; ``landed(resp)`` runs
+        with its reply, an ``("err", why)`` tuple if the unit failed.
+
+        Fail-free the request goes out at once and its reply event calls
+        back: no process.  Under a retry policy the unit is a
+        :meth:`RequestEngine.call` process racing its deadline, retrying and
+        hedging (``hedge`` builds its hedge path); a server that stays
+        silent through the whole budget replies ``("err", "ETIMEDOUT")``, so
+        degraded reads treat it like one that answered "down".
+        ``posted(t)`` hears the instant the request leaves the endpoint's
+        egress pipe: at once fail-free, later this instant under a policy.
+        """
+        dst = ds_name(server)
+        t0 = self.env.now
+        span = self.tracer.span("ds.rpc", track="net", dst=dst, op=str(op[0]))
+        if self.retry is None:
+            self._req.stat(dst).attempts += 1
+            reply = self.fabric.request(self.src, dst, op, size, posted=posted)
+        else:
+            reply = self.env.process(self._req.call(
+                dst, op, size, op_label=op[0], on_exhausted="return",
+                exhausted_value=("err", "ETIMEDOUT"), hedge_gen=hedge, posted=posted,
+            ))  # fmt: skip
+
+        def settle(event: Event) -> None:
+            if not event.ok:
+                raise event.value
+            span.finish()
+            resp = event.value
+            self.sketches.observe("ds.rpc", self.env.now - t0)
+            if not self._is_err(resp):
+                if op[0] == "read_unit":
+                    self.units_read += 1
+                else:
+                    self.units_written += 1
+            landed(resp)
+
+        reply.callbacks.append(settle)
+
     def _fan_out(
         self, calls: list[tuple[int, tuple, int]], strict: bool = False, hedges=None
     ) -> Generator[Event, None, list]:
         """Issue unit RPCs ``(server, op, size)`` in parallel; returns their
         replies in order, an ``("err", why)`` tuple for each failed unit.
 
-        Fail-free (no retry policy) every request is posted now and one
-        countdown event wakes the caller when the last reply lands: no
-        process per unit.  Under a policy each unit is a
-        :meth:`RequestEngine.call` process racing its deadline, retrying
-        and hedging (``hedges[i]`` builds unit ``i``'s hedge path); a
-        server that stays silent through the whole budget replies
-        ``("err", "ETIMEDOUT")``, so degraded reads treat it like one that
-        answered "down".  ``strict`` fails the fan-out with
+        Every unit is posted now (:meth:`_post_unit`) and one countdown
+        event wakes the caller when the last reply lands; ``hedges[i]``
+        builds unit ``i``'s hedge path.  ``strict`` fails the fan-out with
         :class:`StorageUnavailable` as soon as any unit fails.
         """
         if not calls:
             return []
-        env = self.env
-        if self.retry is not None:
-            procs = [
-                env.process(self._unit_call(server, op, size, strict, hedges and hedges[i]))
-                for i, (server, op, size) in enumerate(calls)
-            ]
-            # Seed each unit's span stack so its ds.rpc span nests under
-            # the stripe span instead of becoming an orphan root.
-            cur = self.tracer.current()
-            if cur is not None:
-                for p in procs:
-                    self.tracer.bind(p, cur)
-            results = yield env.all_of(procs)
-            return [results[p] for p in procs]
         replies: list = [None] * len(calls)
-        done = Event(env)
+        done = Event(self.env)
         left = len(calls)
-        t0 = env.now
         for i, (server, op, size) in enumerate(calls):
-            dst = ds_name(server)
-            self._req.stat(dst).attempts += 1
-            span = self.tracer.span("ds.rpc", track="net", dst=dst, op=str(op[0]))
 
-            def landed(event: Event, i=i, server=server, op=op, span=span) -> None:
+            def landed(resp, i=i, server=server) -> None:
                 nonlocal left
-                span.finish()
-                resp = event.value
-                self._settle(op, t0, resp)
                 replies[i] = resp
                 left -= 1
                 if done.triggered:
@@ -143,38 +168,8 @@ class StripeIO:
                 elif not left:
                     done.succeed(replies)
 
-            self.fabric.request(self.src, dst, op, size).callbacks.append(landed)
+            self._post_unit(server, op, size, landed, hedges and hedges[i])
         return (yield done)
-
-    def _unit_call(
-        self, server: int, op: tuple, size: int, strict: bool, hedge_gen
-    ) -> Generator[Event, None, object]:
-        """One unit RPC of a fan-out under the retry policy."""
-        t0 = self.env.now
-        dst = ds_name(server)
-        with self.tracer.span("ds.rpc", track="net", dst=dst, op=str(op[0])):
-            resp = yield from self._req.call(
-                dst,
-                op,
-                size,
-                op_label=op[0],
-                on_exhausted="return",
-                exhausted_value=("err", "ETIMEDOUT"),
-                hedge_gen=hedge_gen,
-            )
-        self._settle(op, t0, resp)
-        if strict and self._is_err(resp):
-            raise StorageUnavailable(f"ds{server}: {resp[1]}")
-        return resp
-
-    def _settle(self, op: tuple, t0: float, resp) -> None:
-        """Account one finished unit RPC."""
-        self.sketches.observe("ds.rpc", self.env.now - t0)
-        if not self._is_err(resp):
-            if op[0] == "read_unit":
-                self.units_read += 1
-            else:
-                self.units_written += 1
 
     @staticmethod
     def _is_err(resp) -> bool:
@@ -385,11 +380,11 @@ class StripeIO:
     def write(self, file_id: int, offset: int, data: bytes) -> Generator[Event, None, None]:
         """EC write: full-stripe encode, or parity RMW for partial stripes.
 
-        The write is striped up front and issued as one batched fan-out:
-        every unit write of every full stripe goes out in a single parallel
-        round (per-stripe failure accounting preserved), with the partial
-        stripes' RMWs running alongside — a multi-stripe write no longer
-        pays one network round-trip *per stripe*.
+        The write is striped up front.  Its full stripes stream: each is
+        encoded and its unit writes posted as soon as the NIC has room for
+        it (:data:`TX_WINDOW`), without waiting for earlier stripes'
+        replies; the partial stripes' RMWs run alongside.  A multi-stripe
+        write pays one network round trip, not one per stripe.
         """
         if not data:
             return
@@ -434,26 +429,54 @@ class StripeIO:
     def _write_full_stripes(
         self, file_id: int, stripes: list[tuple[int, bytes]]
     ) -> Generator[Event, None, None]:
-        """Encode + write a batch of full stripes in one parallel fan-out."""
+        """Stream full stripes out: charge one stripe's EC, encode it, post
+        its unit writes once stripe ``i - TX_WINDOW`` has left the egress
+        pipe, then the next stripe; wait for every reply at the end.  A
+        stripe that lost more than ``m`` unit writes fails the write."""
         lay = self.layout
-        yield from self._charge_ec(sum(len(p) for _, p in stripes))
-        writes = []
-        spans: list[int] = []  # owning stripe of each unit write
-        for stripe, payload in stripes:
+        env = self.env
+        n = lay.rs.k + lay.rs.m
+        failed = dict.fromkeys((stripe for stripe, _ in stripes), 0)
+        left = len(stripes) * n
+        done = Event(env)
+        sent: list[float] = []  # tx-done instant of each unit, in post order
+        need = 0  # units that must have been posted before the next stripe
+        waiter: Optional[Event] = None
+
+        def landed(resp, stripe: int) -> None:
+            nonlocal left
+            failed[stripe] += self._is_err(resp)
+            left -= 1
+            if not left:
+                done.succeed()
+
+        def posted(t: float) -> None:
+            sent.append(t)
+            if waiter is not None and len(sent) == need:
+                waiter.succeed()
+
+        for i, (stripe, payload) in enumerate(stripes):
+            yield from self._charge_ec(len(payload))
             units = lay.encode_stripe(payload)
-            pl = lay.placement(file_id, stripe)
-            for loc in pl.shards:
-                writes.append((loc.server, loc.key, units[loc.shard_index]))
-                spans.append(stripe)
-        results = yield from self._write_units(writes)
-        failures: dict[int, int] = {}
-        for stripe, ok in zip(spans, results):
-            if not ok:
-                failures[stripe] = failures.get(stripe, 0) + 1
-        for stripe, n in failures.items():
-            if n > lay.rs.m:
+            need = (i - TX_WINDOW + 1) * n
+            if need > 0:
+                if len(sent) < need:  # a policy's unit processes post later
+                    waiter = Event(env)
+                    yield waiter
+                    waiter = None
+                if sent[need - 1] > env.now:
+                    yield env.at(sent[need - 1])
+            for loc in lay.placement(file_id, stripe).shards:
+                data = units[loc.shard_index]
+                self._post_unit(
+                    loc.server, ("write_unit", loc.key, data), MSG_OVERHEAD + len(data),
+                    lambda resp, stripe=stripe: landed(resp, stripe), posted=posted,
+                )  # fmt: skip
+        yield done
+        for stripe, nfail in failed.items():
+            if nfail > lay.rs.m:
                 raise StorageUnavailable(
-                    f"stripe {stripe}: {n} shard writes failed (tolerates {lay.rs.m})"
+                    f"stripe {stripe}: {nfail} shard writes failed (tolerates {lay.rs.m})"
                 )
 
     def _write_partial_stripe(

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from ..obsv.tracer import NULL_TRACER
 from ..sim.core import Environment
@@ -189,19 +189,3 @@ class FaultPlane:
                 self.record("restart", name)
 
         self.env.process(script(), name=f"fault-script-{name}")
-
-    def at(self, t: float, fn: Callable[[], Any], label: str = "action") -> None:
-        """Run an arbitrary fault action at sim-time ``t``.
-
-        ``fn`` may return a generator to spend simulated time.
-        """
-
-        def script():
-            if t > self.env.now:
-                yield self.env.timeout(t - self.env.now)
-            result = fn()
-            self.record("action", label)
-            if hasattr(result, "send"):
-                yield from result
-
-        self.env.process(script(), name=f"fault-action-{label}")

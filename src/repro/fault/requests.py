@@ -243,6 +243,7 @@ class RequestEngine:
         exhausted_value: Any = None,
         hedge_to: Optional[Callable[[], str]] = None,
         hedge_gen: Optional[Callable[[], Generator]] = None,
+        posted: Optional[Callable[[float], None]] = None,
     ) -> Generator[Event, None, Any]:
         """Issue one logical request; returns the winning reply payload.
 
@@ -253,7 +254,9 @@ class RequestEngine:
         RpcTimeout).  ``hedge_to`` resolves an alternate wire destination
         at hedge time; ``hedge_gen`` builds an alternate non-wire path
         (EC-degraded reconstruction).  Hedging only engages when one of
-        the two is provided *and* the config enables it.
+        the two is provided *and* the config enables it.  ``posted(t)``
+        hears when the first attempt's request leaves the sender's egress
+        pipe (:meth:`Fabric.request`).
         """
         pol = self.policy if policy is _UNSET else policy
         rng = self.rng if rng is _UNSET else rng
@@ -262,7 +265,7 @@ class RequestEngine:
         if pol is None:
             # Fail-free fast path: no deadline process, no extra RNG draws.
             st.attempts += 1
-            resp = yield from self.fabric.rpc(self.src, dst, payload, size)
+            resp = yield from self.fabric.rpc(self.src, dst, payload, size, posted=posted)
             return resp
         cfg = self.config
         hub = self._hub()
@@ -271,7 +274,7 @@ class RequestEngine:
             try:
                 outcome = yield from self._race(
                     dst, payload, size, st, cfg, hub, ep, timeout,
-                    hedge_to, hedge_gen,
+                    hedge_to, hedge_gen, posted if attempt == 1 else None,
                 )
                 return outcome.value
             except RpcTimeout:
@@ -327,6 +330,7 @@ class RequestEngine:
 
     def _race(
         self, dst, payload, size, st, cfg, hub, ep, timeout, hedge_to, hedge_gen,
+        posted=None,
     ) -> Generator[Event, None, Outcome]:
         """Race the primary, an optional hedge, and the deadline.
 
@@ -340,10 +344,12 @@ class RequestEngine:
         pending: list[Attempt] = []
         n_spawned = 0
 
-        def wire(d: str, rid: tuple):
+        def wire(d: str, rid: tuple, posted=None):
             def _g():
                 try:
-                    resp = yield from self.fabric.rpc(self.src, d, payload, size, rid=rid)
+                    resp = yield from self.fabric.rpc(
+                        self.src, d, payload, size, rid=rid, posted=posted
+                    )
                 except Exception as exc:  # pragma: no cover - defensive
                     return ("dead", exc)
                 return ("ok", resp)
@@ -358,18 +364,18 @@ class RequestEngine:
                 return ("ok", val)
             return _g()
 
-        def spawn_wire(d: str, kind: str) -> Attempt:
+        def spawn_wire(d: str, kind: str, posted=None) -> Attempt:
             nonlocal n_spawned
             self._rid_seq += 1
             rid = (self.src, self._rid_seq)
-            proc = env.process(wire(d, rid), name="req-attempt")
+            proc = env.process(wire(d, rid, posted), name="req-attempt")
             a = Attempt(n_spawned, d, kind, env.now, rid, proc)
             n_spawned += 1
             pending.append(a)
             st.attempts += 1
             return a
 
-        spawn_wire(dst, "primary")
+        spawn_wire(dst, "primary", posted)
         deadline = env.timeout(timeout)
         hedge_delay = None
         if cfg.hedging and (hedge_to is not None or hedge_gen is not None):

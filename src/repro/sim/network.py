@@ -152,8 +152,9 @@ class Fabric:
         size: int,
         land: Callable[[bool], None],
         lost: Optional[Callable[[], None]] = None,
-    ) -> None:
-        """Carry one message of ``size`` bytes from ``sep`` to ``dep``.
+    ) -> float:
+        """Carry one message of ``size`` bytes from ``sep`` to ``dep``;
+        returns the instant it has left ``sep``'s egress pipe (tx-done).
 
         Egress pipe and wire latency are one event: the pipe reservation is
         exact (:meth:`TokenBucket.reserve`), so the arrival time is known
@@ -182,7 +183,7 @@ class Fabric:
                     lost()
 
             env.at(sent).callbacks.append(dropped)
-            return
+            return sent
 
         def landed(_event: Event) -> None:
             dep.messages_in += 1
@@ -192,10 +193,12 @@ class Fabric:
             env.at(dep.rx.reserve(size)).callbacks.append(landed)
 
         env.at(sent + (self.latency + extra)).callbacks.append(arrived)
+        return sent
 
-    def _post(self, msg: Message, done: Optional[Event] = None) -> None:
+    def _post(self, msg: Message, done: Optional[Event] = None) -> float:
         """Walk a request to its destination endpoint; ``done`` (if given)
-        fires once it has landed, or left the sender and been dropped."""
+        fires once it has landed, or left the sender and been dropped.
+        Returns the request's tx-done instant."""
         env = self.env
         t0 = env._now
         sep = self.endpoints[msg.src]
@@ -219,7 +222,7 @@ class Fabric:
                 self.messages_duplicated += 1
                 env.at(dep.rx.reserve(msg.size)).callbacks.append(copy_landed)
 
-        self._walk(sep, dep, msg.size, land, settled)
+        return self._walk(sep, dep, msg.size, land, settled)
 
     # -- one-way send -----------------------------------------------------------
     def send(self, src: str, dst: str, payload: Any, size: int) -> Generator[Event, None, None]:
@@ -261,6 +264,7 @@ class Fabric:
         payload: Any,
         req_size: int,
         rid: Optional[tuple] = None,
+        posted: Optional[Callable[[float], None]] = None,
     ) -> Generator[Event, None, Any]:
         """Send ``payload`` to ``dst`` and wait for the service's reply.
 
@@ -270,7 +274,7 @@ class Fabric:
         leaves it parked, and only a deadline raced against this generator
         gets it back.
         """
-        return (yield self.request(src, dst, payload, req_size, rid))
+        return (yield self.request(src, dst, payload, req_size, rid, posted))
 
     def request(
         self,
@@ -279,6 +283,7 @@ class Fabric:
         payload: Any,
         req_size: int,
         rid: Optional[tuple] = None,
+        posted: Optional[Callable[[float], None]] = None,
     ) -> Event:
         """Post an RPC request now and return its reply event.
 
@@ -286,9 +291,13 @@ class Fabric:
         lands, and never if the fabric drops the request or every reply.
         :meth:`rpc` is this plus one ``yield``; a fan-out posts many and
         counts their replies down in callbacks, with no process per message.
+        ``posted(t)`` hears at once the instant ``t`` the request will have
+        left the sender's egress pipe, so a bulk sender can pace itself.
         """
         reply = Event(self.env)
-        self._post(Message(src, dst, payload, req_size, reply, rid))
+        sent = self._post(Message(src, dst, payload, req_size, reply, rid))
+        if posted is not None:
+            posted(sent)
         return reply
 
     def reply(

@@ -129,7 +129,7 @@ def test_dif_drop_clears_tag():
     def flow():
         yield from host.write(1, 0, b"v1")
         yield from ctrl.flush_all()
-        ctrl.dif_drop(1, 0)
+        ctrl.dif_drop_range(1, 0, 1)
         yield from host.invalidate(1, 0)
         # Different content would have failed the check; tag is gone.
         return (yield from ctrl.fill(1, 0, b"v2-different"))

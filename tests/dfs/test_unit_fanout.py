@@ -56,7 +56,7 @@ def test_fail_free_full_stripe_write_and_rmw_spawn_no_process():
 
     def scenario():
         spawned = count_spawns(env)
-        yield from sio.write(FILE_ID, 0, big)  # 32 full stripes, one fan-out
+        yield from sio.write(FILE_ID, 0, big)  # 32 full stripes, streamed
         out["full"] = list(spawned)
         yield from sio.write(FILE_ID, unit, small)  # one-unit parity RMW
         out["rmw"] = list(spawned)

@@ -75,7 +75,14 @@ GOLDEN_FIG8 = "28b588e097c0254307bbe881c2a23c7f35733058ba1e671a8fe86bf3156b5c11"
 #: to the previous pin, ced0984b…1836.
 #: Re-pinned again for the CREATE-first ``open(O_CREAT)``; with the LOOKUP
 #: put back the snapshot hashes to the previous pin, 86407a6f…47a6.
-GOLDEN_FIG9 = "43d18ddb9c2cfce0d67d3fe960a7e853152e9bf26005348c88c5004f05b2b65d"
+#: Re-pinned again when full-stripe writes started streaming (one stripe's
+#: EC charge, then its units, two stripes in the egress pipe at most): the
+#: prep's 1 MiB writes finish sooner, so ``cpu.dpu.window_cores`` rises
+#: 1.372 -> 1.546, and the per-stripe EC charges sum the same DPU busy time
+#: in another order (last-digit moves of ``cpu.dpu.busy``, its ``dpc-dfs``
+#: tag and ``cpu.host.window_cores``).  With the EC charged up front and no
+#: window the snapshot hashes to the previous pin, 43d18ddb…65d.
+GOLDEN_FIG9 = "c1e78db43f6b32c541dc816f8822d50d18da884befc3c2b1c1642221904aba2e"
 
 
 def _signature(obj) -> str:

@@ -474,3 +474,39 @@ def test_fsync_completes():
         return True
 
     assert run(env, flow())
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="bug 5: Kvfs.write has no per-inode ordering, so parallel first-write "
+    "sub-commands each load their own empty extent map and the last put wins",
+)
+def test_parallel_first_write_sub_commands_keep_every_extent():
+    env, fs = build()
+    half = 2 * fs.block_size  # each sub-command converts the small file: > small limit
+    a, b = b"\xaa" * half, b"\xbb" * half
+    ino = run(env, fs.create(schema.ROOT_INO, b"big")).ino
+    key = schema.fileobj_key(ino)
+    kv_get = fs.kv.get
+    readers = []
+
+    def parked_get(k):
+        value = yield from kv_get(k)
+        if k == key:
+            readers.append(env.active_process)
+            if len(readers) == 2:
+                # Both sub-commands missed the extent-map cache.  Park the
+                # second one's reply, read before any extent was written,
+                # until the first sub-command has finished its write.
+                yield readers[0]
+        return value
+
+    fs.kv.get = parked_get
+
+    def sub_command(offset, data):
+        yield from fs.write(ino, offset, data)
+
+    env.run(until=env.all_of([env.process(sub_command(0, a)), env.process(sub_command(half, b))]))
+    assert len(readers) == 2  # the race was set up as intended
+    fs.kv.get = kv_get
+    assert run(env, fs.read(ino, 0, 2 * half)) == a + b
