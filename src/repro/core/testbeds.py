@@ -363,9 +363,7 @@ def build_host_dfs_clients(
     registry.collect(_collect_fault(plane))
     registry.collect(_collect_dfs("dfs.std", std))
     registry.collect(_collect_dfs("dfs.opt", opt))
-    tracer = _attach_tracer(
-        env, trace, [plane, std, opt, getattr(opt, "stripeio", None)], params=p
-    )
+    tracer = _attach_tracer(env, trace, [plane, std, opt, getattr(opt, "stripeio", None)])
     hub = _attach_sketches(
         env,
         p,

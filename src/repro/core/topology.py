@@ -54,7 +54,7 @@ from ..localfs.ext4sim import Ext4Fs
 from ..obsv import get_context
 from ..obsv.metrics import Registry
 from ..obsv.quantiles import SketchHub
-from ..obsv.tracer import TailSampler, Tracer
+from ..obsv.tracer import Tracer
 from ..params import SystemParams, default_params
 from ..proto.nvme.ini import NvmeFsInitiator
 from ..proto.nvme.sqe import ReqType
@@ -352,28 +352,17 @@ def _attach_tracer(
     env: Environment,
     trace: Optional[bool],
     components,
-    params: Optional[SystemParams] = None,
 ) -> Optional[Tracer]:
     """Give every instrumented component a live tracer when tracing is on.
 
     ``trace=None`` defers to the process-wide context (``REPRO_TRACE=1`` or
     :func:`repro.obsv.enable_tracing`); the default off path leaves the
-    class-level ``NULL_TRACER`` in place everywhere.  With
-    ``params.obsv_tail_sample`` the tracer gets a :class:`TailSampler`, so
-    only baseline and above-quantile client ops keep their span trees.
+    class-level ``NULL_TRACER`` in place everywhere.
     """
     enabled = get_context().enabled if trace is None else trace
     if not enabled:
         return None
-    sampler = None
-    if params is not None and params.obsv_tail_sample:
-        sampler = TailSampler(
-            quantile=params.obsv_tail_quantile,
-            baseline=params.obsv_tail_baseline,
-            warmup=params.obsv_tail_warmup,
-            alpha=params.obsv_sketch_alpha,
-        )
-    tracer = Tracer(env, sampler=sampler)
+    tracer = Tracer(env)
     for c in components:
         if c is not None:
             c.tracer = tracer
@@ -740,7 +729,6 @@ def build_cluster(
                 dfs_client,
                 getattr(dfs_client, "stripeio", None),
             ],
-            params=p,
         )
         sketch_components = [
             dispatch,

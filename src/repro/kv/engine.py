@@ -12,8 +12,8 @@ puts for big files — are honoured by actual data-structure behaviour:
 * a **merge iterator** giving newest-wins ordered scans across all levels,
 * a **write-ahead log** covering the memtable, so a crash loses no
   acknowledged write: :meth:`crash_recover` drops the (volatile) memtable
-  and replays the log, exactly the durability contract a real LSM node
-  gives its clients.
+  and replays the log on parallel lanes split by key, exactly the
+  durability contract a real LSM node gives its clients.
 
 Keys and values are ``bytes``.  Deletes write tombstones, as in any LSM.
 """
@@ -21,6 +21,7 @@ Keys and values are ``bytes``.  Deletes write tombstones, as in any LSM.
 from __future__ import annotations
 
 import bisect
+import zlib
 from typing import Iterator, Optional
 
 from .bloom import BloomFilter
@@ -255,22 +256,28 @@ class LsmEngine:
         )
         return dropped
 
-    def crash_recover(self) -> int:
+    def crash_recover(self, lanes: int) -> list[int]:
         """Simulate a crash: lose the memtable, replay the WAL into a new one.
 
         Sorted runs survive (they are on durable media); every acknowledged
-        but un-flushed mutation is recovered from the log.  Returns the
-        number of records replayed so callers can charge replay time on the
-        simulated clock.
+        but un-flushed mutation is recovered from the log.  The replay is
+        split over ``lanes`` parallel lanes: a record goes to lane
+        ``crc32(key) % lanes`` and each lane applies its records in log
+        order.  Every record of one key lands in one lane, so newest-wins
+        holds per key and any interleaving of the lanes builds the memtable
+        a serial replay builds; this one applies the log in order and counts
+        each lane.  Returns the record count of each lane; callers charge
+        the longest lane on the simulated clock.
         """
-        replayed = len(self.wal)
+        per_lane = [0] * lanes
         self.memtable = {}
         for key, value in self.wal:
+            per_lane[zlib.crc32(key) % lanes] += 1
             self.memtable[key] = value
         self._mem_bytes = sum(
             len(k) + (len(v) if v is not None else 0) for k, v in self.memtable.items()
         )
-        return replayed
+        return per_lane
 
     # -- introspection --------------------------------------------------------------------
     def approximate_bytes(self) -> int:

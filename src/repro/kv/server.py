@@ -32,8 +32,9 @@ transaction acks instead of deadlocking on its own locks); ``commit`` and
 
 A shard can :meth:`~KvShardServer.crash`: requests (and replies in flight)
 vanish, the memtable is lost, staged 2PC state evaporates.
-:meth:`~KvShardServer.restart` replays the engine WAL at a per-record cost
-on the simulated clock before serving resumes.
+:meth:`~KvShardServer.restart` replays the engine WAL on one lane per
+service thread, charging the longest lane's per-record cost on the simulated
+clock before serving resumes.
 """
 
 from __future__ import annotations
@@ -167,12 +168,19 @@ class KvShardServer:
     fail = crash
 
     def restart(self) -> Generator[Event, None, int]:
-        """Come back up: WAL replay at a per-record simulated cost."""
-        replayed = self.engine.crash_recover()
-        if replayed:
-            yield self.env.timeout(replayed * self.params.kv_wal_replay_per_entry)
+        """Come back up: replay the WAL on every service thread, then serve.
+
+        The engine splits the log into one lane per service thread (by key
+        hash, log order kept within a lane) and the restart charges the
+        longest lane at ``kv_wal_replay_per_entry`` per record.  The replay
+        takes no pool slot: nothing is served while ``failed`` is set.
+        Returns the total number of records replayed.
+        """
+        per_lane = self.engine.crash_recover(self.threads.capacity)
+        if max(per_lane):
+            yield self.env.timeout(max(per_lane) * self.params.kv_wal_replay_per_entry)
         self.failed = False
-        return replayed
+        return sum(per_lane)
 
     recover = restart
 

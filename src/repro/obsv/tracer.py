@@ -24,25 +24,13 @@ The tracer never yields and never touches the event queue: enabling it
 cannot change a simulation's timing or event order, only record it.  The
 default :data:`NULL_TRACER` makes every call site a no-op (shared singleton
 span, no allocation), so instrumentation stays in the code unconditionally.
-
-**Tail-based sampling** (DESIGN.md §15): attach a :class:`TailSampler` and
-the tracer keeps the full span tree only for client-root operations whose
-e2e latency lands at or above a sketch-derived quantile of that op name's
-own history, plus a deterministic 1-in-N baseline and a warmup ramp.  The
-decision happens at root-span completion — by then every child is recorded
-— so kept outliers always carry their complete cross-layer story, while
-the ~(1-q) of ordinary ops are dropped wholesale.  Decisions depend only
-on observed simulated durations and a counter, never on wall clock or RNG:
-the kept set is bit-identical across same-seed runs.
 """
 
 from __future__ import annotations
 
 from typing import Any, Optional
 
-from .quantiles import QuantileSketch
-
-__all__ = ["Span", "Tracer", "TailSampler", "NullTracer", "NULL_TRACER"]
+__all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER"]
 
 _UNSET = object()
 
@@ -110,77 +98,15 @@ class Span:
         return False
 
 
-class TailSampler:
-    """Deterministic keep/drop decisions for completed client-root spans.
-
-    Per root-span name, a :class:`QuantileSketch` of observed e2e durations
-    drives the threshold: an op is kept when its duration reaches the
-    ``quantile`` of the *prior* history (the threshold is read before the
-    new sample is folded in, so the decision is well-defined).  Two more
-    rules guarantee coverage: every ``baseline``-th root is kept regardless
-    (a 1-in-N always-on floor), and the first ``warmup`` roots of each name
-    are kept while the sketch is still too small to trust.
-    """
-
-    __slots__ = (
-        "quantile", "baseline", "warmup", "alpha",
-        "_sketches", "_seen", "kept", "dropped", "tail_kept", "baseline_kept",
-    )
-
-    def __init__(self, quantile: float = 0.95, baseline: int = 32,
-                 warmup: int = 16, alpha: float = 0.02):
-        if not 0.0 < quantile < 1.0:
-            raise ValueError(f"quantile must be in (0, 1), got {quantile}")
-        self.quantile = quantile
-        self.baseline = max(1, int(baseline))
-        self.warmup = max(0, int(warmup))
-        self.alpha = alpha
-        self._sketches: dict[str, QuantileSketch] = {}
-        self._seen = 0
-        self.kept = 0
-        self.dropped = 0
-        self.tail_kept = 0
-        self.baseline_kept = 0
-
-    def threshold(self, name: str) -> Optional[float]:
-        """Current tail threshold (seconds) for ``name``; None while warming."""
-        sk = self._sketches.get(name)
-        if sk is None or sk.count < self.warmup:
-            return None
-        return sk.quantile(self.quantile)
-
-    def admit(self, name: str, duration: float) -> bool:
-        self._seen += 1
-        is_baseline = (self._seen - 1) % self.baseline == 0
-        sk = self._sketches.get(name)
-        if sk is None:
-            sk = self._sketches[name] = QuantileSketch(name, self.alpha)
-        warming = sk.count < self.warmup
-        is_tail = not warming and duration >= sk.quantile(self.quantile)
-        sk.observe(duration)
-        keep = is_baseline or warming or is_tail
-        if keep:
-            self.kept += 1
-            self.tail_kept += is_tail
-            self.baseline_kept += is_baseline
-        else:
-            self.dropped += 1
-        return keep
-
-
 class Tracer:
     """Records spans and instant events, stamped with ``env.now``."""
 
     enabled = True
 
-    #: flush dropped span trees out of the backing list once this many ids
-    #: are pending, to bound memory on long sampled runs
-    _FLUSH_PENDING = 4096
-
-    def __init__(self, env, sampler: Optional[TailSampler] = None):
+    def __init__(self, env):
         self.env = env
-        #: completed spans, in completion order (sampler drops compacted out)
-        self._spans: list[Span] = []
+        #: completed spans, in completion order
+        self.spans: list[Span] = []
         #: (time, name, track, attrs) instant events
         self.instants: list[tuple[float, str, str, dict]] = []
         self._seq = 0
@@ -188,17 +114,6 @@ class Tracer:
         self._stacks: dict[Any, list[Span]] = {}
         #: explicit cross-process context handoffs
         self._handoff: dict[Any, Span] = {}
-        #: optional tail-based sampler; None = keep everything
-        self.sampler = sampler
-        self._children_ids: dict[int, list[int]] = {}
-        self._dropped_ids: set[int] = set()
-        self._pending_drops: set[int] = set()
-
-    @property
-    def spans(self) -> list["Span"]:
-        if self._pending_drops:
-            self._flush_drops()
-        return self._spans
 
     def _next_id(self) -> int:
         self._seq += 1
@@ -247,44 +162,7 @@ class Tracer:
         self._record(span)
 
     def _record(self, span: Span) -> None:
-        self._spans.append(span)
-        if self.sampler is not None:
-            self._sample(span)
-
-    # -- tail sampling ------------------------------------------------------
-    def _sample(self, span: Span) -> None:
-        pid = span.parent_id
-        if pid is not None:
-            kids = self._children_ids.get(pid)
-            if kids is None:
-                kids = self._children_ids[pid] = []
-            kids.append(span.span_id)
-            if pid in self._dropped_ids:
-                # late child of an already-dropped tree (work that completes
-                # after its client root, e.g. deferred cleanup)
-                self._dropped_ids.add(span.span_id)
-                self._pending_drops.add(span.span_id)
-            return
-        if span.track != "client":
-            return  # non-client roots (flusher rounds, fault markers) stay
-        keep = self.sampler.admit(span.name, (span.end or span.start) - span.start)
-        self._finish_tree(span, keep)
-        if len(self._pending_drops) >= self._FLUSH_PENDING:
-            self._flush_drops()
-
-    def _finish_tree(self, root: Span, keep: bool) -> None:
-        stack = [root.span_id]
-        while stack:
-            sid = stack.pop()
-            if not keep:
-                self._dropped_ids.add(sid)
-                self._pending_drops.add(sid)
-            stack.extend(self._children_ids.pop(sid, ()))
-
-    def _flush_drops(self) -> None:
-        pend = self._pending_drops
-        self._spans = [s for s in self._spans if s.span_id not in pend]
-        self._pending_drops = set()
+        self.spans.append(span)
 
     # -- instants -----------------------------------------------------------
     def instant(self, name: str, track: str = "default", **attrs: Any) -> None:
@@ -391,7 +269,6 @@ class NullTracer:
 
     spans: list = []
     instants: list = []
-    sampler = None
 
 
 NULL_TRACER = NullTracer()

@@ -351,13 +351,6 @@ class SystemParams:
     obsv_sketches: bool = False
     #: sketch relative-error bound (DDSketch alpha)
     obsv_sketch_alpha: float = 0.02
-    #: tail-based trace sampling: keep full span trees only for client ops
-    #: above their name's observed obsv_tail_quantile, plus a deterministic
-    #: 1-in-obsv_tail_baseline floor and an obsv_tail_warmup ramp
-    obsv_tail_sample: bool = False
-    obsv_tail_quantile: float = 0.95
-    obsv_tail_baseline: int = 32
-    obsv_tail_warmup: int = 16
 
     # ---- file geometry ------------------------------------------------------------------
     small_file_threshold: int = 8 * KiB  # KVFS small-file KV limit

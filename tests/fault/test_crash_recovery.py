@@ -1,5 +1,8 @@
 """Crash / restart recovery: KV WAL replay, DS restarts, MDS lease expiry."""
 
+import zlib
+from collections import Counter
+
 import pytest
 
 from repro.core.testbeds import build_dpc_system, build_host_dfs_clients
@@ -32,14 +35,22 @@ def build_kv(rpc_timeout=0.0, **overrides):
     return env, plane, cluster, client
 
 
+def _longest_lane(shard, threads):
+    """Records in the busiest replay lane of ``shard``'s WAL: a record's
+    lane is ``crc32(key) % threads``."""
+    lanes = Counter(zlib.crc32(key) % threads for key, _ in shard.engine.wal)
+    return max(lanes.values(), default=0)
+
+
 def test_kv_wal_replay_restores_data_at_cost():
     env, plane, cluster, client = build_kv()
     p = cluster.params
-    keys = [f"wal{i:03d}".encode() for i in range(8)]
+    keys = [f"wal{i:03d}".encode() for i in range(32)]
 
     def scenario():
         for i, k in enumerate(keys):
             yield from client.put(k, bytes([i + 1]) * 32)
+        longest = [_longest_lane(s, p.kv_server_threads) for s in cluster.shards]
         # Whole-cluster power loss while idle; volatile state evaporates.
         for shard in cluster.shards:
             shard.crash()
@@ -51,14 +62,88 @@ def test_kv_wal_replay_restores_data_at_cost():
         got = []
         for k in keys:
             got.append((yield from client.get(k)))
-        return replayed, recovery_time, got
+        return replayed, longest, recovery_time, got
 
-    replayed, recovery_time, got = env.run(until=env.process(scenario()))
-    assert got == [bytes([i + 1]) * 32 for i in range(8)]
-    # Every put is one WAL record, and replay is a costed clock event.
-    assert replayed == 8
-    assert recovery_time == pytest.approx(replayed * p.kv_wal_replay_per_entry)
+    replayed, longest, recovery_time, got = env.run(until=env.process(scenario()))
+    assert got == [bytes([i + 1]) * 32 for i in range(32)]
+    # Every put is one WAL record; each shard replays its lanes in parallel,
+    # so a restart costs its longest lane, and the shards restart in turn.
+    assert replayed == 32
+    assert sum(longest) < replayed
+    assert recovery_time == pytest.approx(sum(longest) * p.kv_wal_replay_per_entry)
     assert all(s.crashes == 1 for s in cluster.shards)
+
+
+def test_hot_key_replays_in_log_order_on_one_lane():
+    env, plane, cluster, client = build_kv()
+    p = cluster.params
+    shard = cluster.shards[0]
+    threads = p.kv_server_threads
+    on_shard = (
+        k
+        for k in (f"hot{i:04d}".encode() for i in range(10_000))
+        if client.route(k) == shard.name
+    )
+    hot = next(on_shard)
+    hot_lane = zlib.crc32(hot) % threads
+    # Six cold keys on the shard, none in the hot key's lane.
+    cold = [k for k in on_shard if zlib.crc32(k) % threads != hot_lane][:6]
+
+    def scenario():
+        for i in range(4):
+            yield from client.put(hot, b"v%d" % i)
+        for k in cold:
+            yield from client.put(k, b"cold")
+        yield from client.delete(hot)
+        yield from client.put(hot, b"newest")
+        assert len(shard.engine.wal) == 6 + len(cold)
+        shard.crash()
+        t0 = env.now
+        replayed = yield from shard.restart()
+        recovery_time = env.now - t0
+        return replayed, recovery_time, (yield from client.get(hot))
+
+    replayed, recovery_time, value = env.run(until=env.process(scenario()))
+    assert value == b"newest"
+    assert replayed == 6 + len(cold)
+    # The hot key's six records share one lane and set the replay time.
+    assert recovery_time == pytest.approx(6 * p.kv_wal_replay_per_entry)
+
+
+def test_kv_get_in_a_crash_window_waits_one_deadline_past_the_replay():
+    """KV-side one-op timeline: a get posted as its shard crashes finishes
+    within the outage, the longest replay lane, one attempt deadline and
+    one backoff."""
+    env, plane, cluster, client = build_kv(rpc_timeout=400e-6)
+    p = cluster.params
+    policy = retry_policy_from(p)
+    shard = cluster.shards[0]
+    keys = [
+        k
+        for k in (f"tl{i:05d}".encode() for i in range(4096))
+        if client.route(k) == shard.name
+    ][:256]
+    assert len(keys) == 256
+    for k in keys:
+        shard.engine.put(k, k * 4)
+    assert len(shard.engine.wal) == 256
+    longest = _longest_lane(shard, p.kv_server_threads)
+    crash_t, outage = 1e-6, 300e-6
+    replay = longest * p.kv_wal_replay_per_entry
+    # The shard is back before the first attempt's deadline, so the first
+    # retry is the one that lands; its backoff is at most base * (1 + jitter).
+    assert outage + replay < policy.timeout
+    max_backoff = policy.backoff_base * (1.0 + policy.jitter)
+    plane.crash_at(crash_t, shard, restart_at=crash_t + outage, drop=True)
+
+    def scenario():
+        value = yield from client.get(keys[0])
+        return value, env.now
+
+    value, done = env.run(until=env.process(scenario()))
+    assert value == keys[0] * 4
+    assert client.retries == 1
+    assert done <= outage + replay + policy.timeout + max_backoff
 
 
 def test_crash_clears_staged_2pc_state():

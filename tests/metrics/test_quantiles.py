@@ -12,6 +12,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.experiments.fig9_dfs import run_case
+from repro.obsv import disable_tracing, enable_tracing
 from repro.obsv.metrics import Log2Histogram, Registry
 from repro.obsv.quantiles import (
     NULL_HUB,
@@ -19,6 +21,7 @@ from repro.obsv.quantiles import (
     QuantileSketch,
     SketchHub,
 )
+from repro.params import default_params
 
 QS = (0.5, 0.9, 0.95, 0.99, 0.999)
 
@@ -271,3 +274,18 @@ def test_log2_quantiles_appear_in_registry_snapshot():
     assert snap["lat.p50"] == h.quantile(0.50)
     assert snap["lat.p99"] == h.quantile(0.99)
     assert snap["lat.count"] == 4
+
+
+def test_sketch_p99_matches_exact_p99_on_fig9():
+    p = default_params().with_overrides(obsv_sketches=True)
+    ctx = enable_tracing()
+    try:
+        out = run_case("dpc", "rnd-wr", nthreads=8, ops_per_thread=25, params=p)
+        _, _, registry = ctx.systems[0]
+        sketch = registry.snapshot()["lat.client.op.p99"]
+    finally:
+        disable_tracing()
+    exact = out["lat_p99_us"]
+    assert exact > 0
+    # sketch alpha is 0.02; allow 2x for the us rounding in the collector
+    assert abs(sketch - exact) / exact <= 0.05, (sketch, exact)
